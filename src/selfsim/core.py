@@ -12,14 +12,22 @@ Words are tuples of letters; the first letter is the top tree level.
 Elements compose as functions: (g h)(w) = g(h(w)), so in a written
 product the rightmost factor acts first, and sections obey
 (g h)|_v = g|_{h(v)} . h|_v.
+
+The operations on raw automaton tables (product, quotient, inverse rows and
+breadth-first reachability) are written once here and shared with the
+engine's canonical elements and the Schreier level tables.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+# (images, sections): images[i] is the output image row of state i and
+# sections[i][x] the index of its section at letter x.
+Tables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 def word(letters: Sequence[int] | str) -> tuple[int, ...]:
@@ -253,25 +261,108 @@ def section_word(state: StateRef, letters: Sequence[int] | str) -> StateRef:
     return StateRef(aut, i)
 
 
+def _tables(aut: MealyAutomaton) -> Tables:
+    return tuple(p.images for p in aut.perms), aut.sections
+
+
+def _inverse_rows(tables: Tables) -> Tables:
+    """Inverse rows: state i of the result is q_i^-1, with q^-1|_y = (q|_{sigma_q^-1(y)})^-1.
+
+    Section indices keep their meaning: they name the inverses of the states.
+    """
+    images, sections = tables
+    inv_images = []
+    inv_sections = []
+    for img, row in zip(images, sections):
+        inv = [0] * len(img)
+        for x, y in enumerate(img):
+            inv[y] = x
+        inv_images.append(tuple(inv))
+        inv_sections.append(tuple(row[x] for x in inv))
+    return tuple(inv_images), tuple(inv_sections)
+
+
+def _product_tables(
+    factors: Sequence[Tables], roots: Iterable[tuple[int, ...]]
+) -> tuple[Tables, list[tuple[int, ...]]]:
+    """Tables of the state tuples reachable from roots, and the tuples in order.
+
+    Position i of a tuple holds a state of factors[i]; the tuple acts as its
+    first component after the second after ... after the last, so the last
+    component touches the input word first, and sections follow the product
+    rule componentwise. Tuples are numbered in discovery order, roots first.
+    """
+    # tuples are keyed last position first, the order in which the action reads them
+    back = factors[::-1]
+    order = [t[::-1] for t in dict.fromkeys(roots)]
+    number = {t: i for i, t in enumerate(order)}
+    images = []
+    sections = []
+    for t in order:
+        rows = [(imgs[q], secs[q]) for (imgs, secs), q in zip(back, t)]
+        image_row = []
+        section_row = []
+        for x in range(len(rows[0][0])):
+            y = x
+            sec = []
+            for img, row in rows:
+                sec.append(row[y])
+                y = img[y]
+            nxt = tuple(sec)
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+            image_row.append(y)
+            section_row.append(number[nxt])
+        images.append(tuple(image_row))
+        sections.append(tuple(section_row))
+    return (tuple(images), tuple(sections)), [t[::-1] for t in order]
+
+
+def _quotient(tables: Tables) -> tuple[list[int], list[int], Tables]:
+    """Quotient by refine_partition: each state's class, each class's first member, class tables."""
+    images, sections = tables
+    color, _ = refine_partition(images, sections)
+    # classes are numbered by first occurrence: class c appears after classes 0..c-1
+    reps: list[int] = []
+    for i, c in enumerate(color):
+        if c == len(reps):
+            reps.append(i)
+    class_images = tuple(images[r] for r in reps)
+    class_sections = tuple(tuple(color[j] for j in sections[r]) for r in reps)
+    return color, reps, (class_images, class_sections)
+
+
+def _reachable(
+    sections: Sequence[Sequence[int]], roots: Iterable[int]
+) -> tuple[list[int], dict[int, int]]:
+    """States reachable from roots in breadth-first order, and each state's place in it."""
+    order = list(dict.fromkeys(roots))
+    number = {q: i for i, q in enumerate(order)}
+    for q in order:
+        for j in sections[q]:
+            if j not in number:
+                number[j] = len(order)
+                order.append(j)
+    return order, number
+
+
 @functools.cache
 def invert(aut: MealyAutomaton) -> MealyAutomaton:
     """Inverse closure: adjoins a formal inverse state for every state.
 
-    The inverse acts by sigma_q^-1 with sections q^-1|_y = (q|_{sigma_q^-1(y)})^-1.
     On an already inverse-closed automaton this returns the automaton itself,
     so the inverse of an inverse resolves to the original state.
     """
     if aut.inverse_closed:
         return aut
     m = len(aut)
+    inv_images, inv_sections = _inverse_rows(_tables(aut))
     names = aut.names + tuple(n + "^-1" for n in aut.names)
-    perms = aut.perms + tuple(p.inverse() for p in aut.perms)
-    sections = list(aut.sections)
-    for i in range(m):
-        inv_p = aut.perms[i].inverse()
-        sections.append(tuple(aut.sections[i][inv_p(y)] + m for y in range(aut.alphabet.size)))
+    perms = aut.perms + tuple(Permutation(img) for img in inv_images)
+    sections = aut.sections + tuple(tuple(j + m for j in row) for row in inv_sections)
     inverse_index = tuple(range(m, 2 * m)) + tuple(range(m))
-    return MealyAutomaton(aut.alphabet, names, perms, tuple(sections), True, inverse_index)
+    return MealyAutomaton(aut.alphabet, names, perms, sections, True, inverse_index)
 
 
 def inverse_state(state: StateRef) -> StateRef:
@@ -293,27 +384,12 @@ def product_automaton(aut: MealyAutomaton, power: int) -> MealyAutomaton:
     m = len(aut)
     if m**power > 1_000_000:
         raise ValueError(f"product automaton would have {m}^{power} states")
-    k = aut.alphabet.size
-    tuples = list(itertools.product(range(m), repeat=power))
-    index = {t: i for i, t in enumerate(tuples)}
-    names = []
-    perms = []
-    sections = []
-    for t in tuples:
-        names.append("(" + ",".join(aut.names[i] for i in t) + ")")
-        images = []
-        rows = []
-        for x in range(k):
-            y = x
-            sec = []
-            for i in reversed(t):
-                sec.append(aut.sections[i][y])
-                y = aut.perms[i](y)
-            images.append(y)
-            rows.append(index[tuple(reversed(sec))])
-        perms.append(Permutation(tuple(images)))
-        sections.append(tuple(rows))
-    return MealyAutomaton(aut.alphabet, tuple(names), tuple(perms), tuple(sections))
+    (images, sections), tuples = _product_tables(
+        [_tables(aut)] * power, itertools.product(range(m), repeat=power)
+    )
+    names = tuple("(" + ",".join(aut.names[i] for i in t) + ")" for t in tuples)
+    perms = tuple(Permutation(img) for img in images)
+    return MealyAutomaton(aut.alphabet, names, perms, sections)
 
 
 def _dense_rank(keys: list) -> tuple[list[int], int]:
@@ -326,7 +402,9 @@ def _dense_rank(keys: list) -> tuple[list[int], int]:
     return out, len(seen)
 
 
-def refine_partition(perm_keys: list, sections: list[tuple[int, ...]]) -> tuple[list[int], int]:
+def refine_partition(
+    perm_keys: Sequence, sections: Sequence[tuple[int, ...]]
+) -> tuple[list[int], int]:
     """Coarsest partition where classes share outputs and map sections to classes.
 
     Standard partition refinement run to a fixed point; two states land in the
@@ -347,19 +425,12 @@ def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:
     Classes are ordered by first occurrence and keep the name of their least
     member, so minimizing twice returns an identical automaton.
     """
-    color, count = refine_partition([p.images for p in aut.perms], list(aut.sections))
-    reps: list[int | None] = [None] * count
-    for i, c in enumerate(color):
-        if reps[c] is None:
-            reps[c] = i
-    names = tuple(aut.names[reps[c]] for c in range(count))
-    perms = tuple(aut.perms[reps[c]] for c in range(count))
-    sections = tuple(
-        tuple(color[j] for j in aut.sections[reps[c]]) for c in range(count)
-    )
+    color, reps, (_, sections) = _quotient(_tables(aut))
+    names = tuple(aut.names[r] for r in reps)
+    perms = tuple(aut.perms[r] for r in reps)
     inverse_index = None
     if aut.inverse_closed:
         assert aut.inverse_index is not None
-        inverse_index = tuple(color[aut.inverse_index[reps[c]]] for c in range(count))
+        inverse_index = tuple(color[aut.inverse_index[r]] for r in reps)
     quotient = MealyAutomaton(aut.alphabet, names, perms, sections, aut.inverse_closed, inverse_index)
     return quotient, tuple(color)

@@ -13,6 +13,8 @@ the recurrent sections of the generators and their inverses, then fold in
 the recurrent sections of all pairwise products until stable or a bound
 trips. Recurrent sections of a finite-state element are the states
 reachable through a cycle of its automaton.
+
+The table operations behind canonical elements live in selfsim.core.
 """
 
 from __future__ import annotations
@@ -26,38 +28,31 @@ from .core import (
     MealyAutomaton,
     Permutation,
     StateRef,
+    Tables,
+    _inverse_rows,
+    _product_tables,
+    _quotient,
+    _reachable,
+    _tables,
     invert,
-    refine_partition,
 )
 
-Tables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
-
-def _bfs_root(k: int, perms, sections, root: int) -> "CanonicalElement":
+def _bfs_root(tables: Tables, root: int) -> "CanonicalElement":
     """Renumber the part reachable from root in breadth-first order."""
-    order = [root]
-    number = {root: 0}
-    for i in order:
-        for x in range(k):
-            j = sections[i][x]
-            if j not in number:
-                number[j] = len(order)
-                order.append(j)
-    out_perms = tuple(tuple(perms[i]) for i in order)
-    out_sections = tuple(tuple(number[sections[i][x]] for x in range(k)) for i in order)
-    return CanonicalElement(k, out_perms, out_sections)
+    images, sections = tables
+    order, number = _reachable(sections, [root])
+    return CanonicalElement(
+        len(images[0]),
+        tuple(images[i] for i in order),
+        tuple(tuple(number[j] for j in sections[i]) for i in order),
+    )
 
 
-def _canonical(k: int, perms, sections, root: int) -> "CanonicalElement":
+def _canonical(tables: Tables, root: int) -> "CanonicalElement":
     """Minimize raw action tables and canonicalize the state at root."""
-    color, count = refine_partition([tuple(p) for p in perms], [tuple(s) for s in sections])
-    reps: list[int | None] = [None] * count
-    for i, c in enumerate(color):
-        if reps[c] is None:
-            reps[c] = i
-    qperms = [tuple(perms[reps[c]]) for c in range(count)]
-    qsections = [tuple(color[j] for j in sections[reps[c]]) for c in range(count)]
-    return _bfs_root(k, qperms, qsections, color[root])
+    color, _, quotient = _quotient(tables)
+    return _bfs_root(quotient, color[root])
 
 
 @dataclass(frozen=True)
@@ -109,47 +104,23 @@ class CanonicalElement:
         i = 0
         for x in w:
             i = self.sections[i][x]
-        return _bfs_root(self.k, self.perms, self.sections, i)
+        return _bfs_root((self.perms, self.sections), i)
 
     def state_element(self, i: int) -> "CanonicalElement":
         """The element represented by internal state i."""
-        return _bfs_root(self.k, self.perms, self.sections, i)
+        return _bfs_root((self.perms, self.sections), i)
 
     def __mul__(self, other: "CanonicalElement") -> "CanonicalElement":
         if not isinstance(other, CanonicalElement):
             return NotImplemented
         if self.k != other.k:
             raise ValueError("elements act on different alphabets")
-        k = self.k
-        pairs: dict[tuple[int, int], int] = {(0, 0): 0}
-        order = [(0, 0)]
-        perms = []
-        sections = []
-        for i, j in order:
-            images = []
-            row = []
-            for x in range(k):
-                y = other.perms[j][x]
-                images.append(self.perms[i][y])
-                nxt = (self.sections[i][y], other.sections[j][x])
-                if nxt not in pairs:
-                    pairs[nxt] = len(order)
-                    order.append(nxt)
-                row.append(pairs[nxt])
-            perms.append(tuple(images))
-            sections.append(tuple(row))
-        return _canonical(k, perms, sections, 0)
+        factors = [(self.perms, self.sections), (other.perms, other.sections)]
+        product, _ = _product_tables(factors, [(0, 0)])
+        return _canonical(product, 0)
 
     def inverse(self) -> "CanonicalElement":
-        inv_perms = []
-        inv_sections = []
-        for i in range(self.size):
-            inv = [0] * self.k
-            for x, y in enumerate(self.perms[i]):
-                inv[y] = x
-            inv_perms.append(tuple(inv))
-            inv_sections.append(tuple(self.sections[i][inv[y]] for y in range(self.k)))
-        return _canonical(self.k, inv_perms, inv_sections, 0)
+        return _canonical(_inverse_rows((self.perms, self.sections)), 0)
 
     def __pow__(self, n: int) -> "CanonicalElement":
         if n == 0:
@@ -204,9 +175,7 @@ class GroupWord:
 
 def canonical_state(state: StateRef) -> CanonicalElement:
     """Canonical element acting like a single automaton state."""
-    aut = state.automaton
-    perms = [p.images for p in aut.perms]
-    return _canonical(aut.alphabet.size, perms, list(aut.sections), state.index)
+    return _canonical(_tables(state.automaton), state.index)
 
 
 def canonicalize(gw: GroupWord) -> CanonicalElement:
@@ -214,35 +183,14 @@ def canonicalize(gw: GroupWord) -> CanonicalElement:
     base = gw.generators[0].automaton
     aut = invert(base)
     assert aut.inverse_index is not None
-    k = aut.alphabet.size
     if not gw.factors:
-        return CanonicalElement.identity(k)
+        return CanonicalElement.identity(aut.alphabet.size)
     factor_states = tuple(
         gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
         for pos, exp in gw.factors
     )
-    tuples: dict[tuple[int, ...], int] = {factor_states: 0}
-    order = [factor_states]
-    perms = []
-    sections = []
-    for t in order:
-        images = []
-        row = []
-        for x in range(k):
-            y = x
-            sec = []
-            for i in reversed(t):
-                sec.append(aut.sections[i][y])
-                y = aut.perms[i](y)
-            images.append(y)
-            nxt = tuple(reversed(sec))
-            if nxt not in tuples:
-                tuples[nxt] = len(order)
-                order.append(nxt)
-            row.append(tuples[nxt])
-        perms.append(tuple(images))
-        sections.append(tuple(row))
-    return _canonical(k, perms, sections, 0)
+    product, _ = _product_tables([_tables(aut)] * len(factor_states), [factor_states])
+    return _canonical(product, 0)
 
 
 def canonical_generators(gens: Sequence[StateRef]) -> list[tuple[str, CanonicalElement]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alphabet, MealyAutomaton, StateRef, word, word_str
+from .core import Alphabet, MealyAutomaton, StateRef, _reachable, word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -44,24 +44,10 @@ def _check_cap(count: int, vertex_cap: int | None) -> None:
         )
 
 
-def _section_closure(aut: MealyAutomaton, indices: Sequence[int]) -> list[int]:
-    seen = list(dict.fromkeys(indices))
-    seen_set = set(seen)
-    queue = list(seen)
-    while queue:
-        i = queue.pop()
-        for j in aut.sections[i]:
-            if j not in seen_set:
-                seen_set.add(j)
-                seen.append(j)
-                queue.append(j)
-    return seen
-
-
 def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> dict[int, np.ndarray]:
     """Image arrays on level n for the given states and all their sections."""
     k = aut.alphabet.size
-    needed = _section_closure(aut, indices)
+    needed, _ = _reachable(aut.sections, indices)
     size = k**n
     dtype = np.int32 if size <= 2**31 - 1 else np.int64
     tables = {i: np.zeros(1, dtype=dtype) for i in needed}
@@ -80,9 +66,7 @@ def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> dict[i
 
 def level_permutation(state: StateRef, n: int, vertex_cap: int | None = None) -> np.ndarray:
     """Permutation array of the state on level n: entry v is the image of v."""
-    aut = state.automaton
-    _check_cap(aut.alphabet.size**n, vertex_cap)
-    return _level_tables(aut, [state.index], n)[state.index]
+    return build_schreier([state], n, vertex_cap).images[0]
 
 
 @dataclass
@@ -255,19 +239,10 @@ def pointed_component(
     return SimplicialGraph(labels, tuple(sorted(edges))), position[root]
 
 
-def _orbit_code(images: list, root: int) -> tuple:
+def _orbit_code(successors: list[list[int]], root: int) -> tuple:
     """Breadth-first encoding of the forward orbit of root; canonical per rooted orbit."""
-    number = {root: 0}
-    order = [root]
-    code = []
-    for v in order:
-        for img in images:
-            t = int(img[v])
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-            code.append(number[t])
-    return (len(order), tuple(code))
+    order, number = _reachable(successors, [root])
+    return (len(order), tuple(number[t] for v in order for t in successors[v]))
 
 
 def _canonical_label_code(images: list, total: int) -> tuple:
@@ -281,22 +256,15 @@ def _canonical_label_code(images: list, total: int) -> tuple:
         counts = np.bincount(np.asarray(img, dtype=np.int64), minlength=total)
         if not (counts == 1).all():
             raise ValueError("each label must act as a permutation")
+    successors = [[int(img[v]) for img in images] for v in range(total)]
     assigned = np.zeros(total, dtype=bool)
     codes = []
     for start in range(total):
         if assigned[start]:
             continue
-        number = {start: 0}
-        order = [start]
-        for v in order:
-            for img in images:
-                t = int(img[v])
-                if t not in number:
-                    number[t] = len(order)
-                    order.append(t)
-        for v in order:
-            assigned[v] = True
-        codes.append(min(_orbit_code(images, v) for v in order))
+        orbit, _ = _reachable(successors, [start])
+        assigned[orbit] = True
+        codes.append(min(_orbit_code(successors, v) for v in orbit))
     return tuple(sorted(codes))
 
 

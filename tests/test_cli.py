@@ -12,6 +12,7 @@ import selfsim
 from selfsim import cli_main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+DEMOS = PYPROJECT.parent / "demos"
 
 BASILICA_TEXT = """\
 alphabet 2
@@ -249,6 +250,17 @@ def _load_toml(path):
         return tomllib.load(handle)
 
 
+def _in_tree():
+    # A child process imports the selfsim this process imported, whatever the
+    # working directory, a relative PYTHONPATH or an installed copy say.
+    import_root = str(Path(selfsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [import_root, env.get("PYTHONPATH")])
+    )
+    return import_root, env
+
+
 def _check_gen_level_one(command, **kwargs):
     proc = subprocess.run(
         [*command, "gen", "--catalog", "basilica", "--level", "1"],
@@ -259,6 +271,7 @@ def _check_gen_level_one(command, **kwargs):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\t1\ta\n1\t0\ta\n0\t0\tb\n1\t1\tb\n"
+    return proc
 
 
 def test_console_script_entry_point():
@@ -271,15 +284,26 @@ def test_console_script_entry_point():
         f"entry = getattr(importlib.import_module({module!r}), {attr!r})\n"
         "sys.exit(entry())\n"
     )
-    # The child imports the selfsim this process imported, whatever the
-    # working directory, a relative PYTHONPATH or an installed copy say.
-    import_root = str(Path(selfsim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [import_root, env.get("PYTHONPATH")])
-    )
+    import_root, env = _in_tree()
     _check_gen_level_one([sys.executable, "-c", launcher], env=env, cwd=import_root)
+    module_run = _check_gen_level_one([sys.executable, "-m", "selfsim"], env=env, cwd=import_root)
+    assert module_run.stderr == ""
 
     installed = shutil.which("selfsim")
     if installed is not None:
         _check_gen_level_one([installed])
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    import_root, env = _in_tree()
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / demo)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        cwd=import_root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

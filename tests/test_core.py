@@ -210,6 +210,13 @@ def test_product_automaton_validates_power():
         product_automaton(aut, 0)
 
 
+def test_table_operations_accept_the_empty_automaton():
+    empty = MealyAutomaton(Alphabet(2), (), (), ())
+    assert len(product_automaton(empty, 2)) == 0
+    assert len(minimize(empty)[0]) == 0
+    assert len(invert(empty)) == 0
+
+
 def test_minimize_collapses_duplicate_states():
     text = "alphabet 2\na = (0 1)(b, c)\nb = id(e, e)\nc = id(e, e)\ne = id(e, e)\ngens a\n"
     aut, _ = to_automaton(parse(text))

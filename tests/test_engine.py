@@ -1,5 +1,6 @@
 """Canonical elements, the word problem, nucleus computation, recurrence."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +9,9 @@ from selfsim import (
     CanonicalElement,
     GroupWord,
     NotContractingError,
+    Permutation,
+    RecursionDocument,
+    StateDef,
     act_word,
     canonical_generators,
     canonical_state,
@@ -15,11 +19,13 @@ from selfsim import (
     catalog_get,
     compute_nucleus,
     is_recurrent,
+    minimize,
+    product_automaton,
     recurrent_sections,
     to_automaton,
 )
 
-from ._oracles import word_act, words_upto
+from ._oracles import doc_act, word_act, words_upto
 
 
 def _load(key):
@@ -336,3 +342,48 @@ def test_is_recurrent_verdicts():
 def test_compute_nucleus_requires_generators():
     with pytest.raises(ValueError):
         compute_nucleus([])
+
+
+def _random_document(rng):
+    k = rng.choice((2, 3))
+    names = [f"s{i}" for i in range(rng.randint(1, 4))]
+    states = tuple(
+        StateDef(name, Permutation(tuple(rng.sample(range(k), k))), tuple(rng.choice(names) for _ in range(k)))
+        for name in names
+    )
+    return RecursionDocument(k, states, tuple(names))
+
+
+def test_table_kernel_against_oracles_on_generated_automata():
+    rng = random.Random(4)
+    for _ in range(60):
+        doc = _random_document(rng)
+        aut, gens = to_automaton(doc)
+        words = list(words_upto(doc.alphabet_size, 4))
+
+        def draw():
+            return _gw(gens, *((rng.randrange(len(gens)), rng.choice((1, -1))) for _ in range(rng.randint(0, 5))))
+
+        u, w = draw(), draw()
+        cw = canonicalize(w)
+        factors = [(gens[pos].name, exp) for pos, exp in w.factors]
+        for v in words:
+            assert cw.act(v) == word_act(doc, factors, v)
+        assert canonicalize(u * w) == canonicalize(u) * cw
+        assert canonicalize(w.inverse()) == cw.inverse()
+
+        squared = product_automaton(aut, 2)
+        for left, right in product(aut.names, repeat=2):
+            pair = squared.state(f"({left},{right})")
+            for v in words:
+                assert act_word(pair, v) == doc_act(doc, left, doc_act(doc, right, v))
+
+        for original in (aut, squared):
+            small, assignment = minimize(original)
+            for st in original.states():
+                mini = small.state(assignment[st.index])
+                for v in words:
+                    assert act_word(mini, v) == act_word(st, v)
+            again, identity = minimize(small)
+            assert again == small
+            assert identity == tuple(range(len(small)))

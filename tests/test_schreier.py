@@ -74,6 +74,8 @@ def test_level_permutation_matches_graph_row():
     g = build_schreier(gens, 4)
     assert (level_permutation(gens[0], 4) == g.images[0]).all()
     assert (level_permutation(gens[1], 4) == g.images[1]).all()
+    with pytest.raises(ValueError):
+        level_permutation(gens[0], -1)
 
 
 def test_build_schreier_validation():
