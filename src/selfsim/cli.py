@@ -258,3 +258,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> int:
     return cli_main(sys.argv[1:])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

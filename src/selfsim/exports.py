@@ -11,7 +11,6 @@ from __future__ import annotations
 from xml.sax.saxutils import escape
 
 from .schreier import (
-    LabeledSchreierGraph,
     ResourceCapError,
     SimplicialGraph,
     symbolic_matrix,
@@ -21,15 +20,9 @@ FORMATS = ("edges", "dot", "graphml", "matrix")
 MATRIX_LIMIT = 4096
 
 
-def _labels(graph) -> list[str]:
-    if isinstance(graph, SimplicialGraph):
-        return list(graph.labels)
-    return [graph.vertex_label(i) for i in range(graph.vertex_count)]
-
-
 def _edges_text(graph, root: int | None) -> str:
     lines = []
-    labels = _labels(graph)
+    labels = graph.labels
     if root is not None:
         lines.append(f"# root\t{labels[root]}")
     if isinstance(graph, SimplicialGraph):
@@ -55,7 +48,7 @@ def parse_edges(text: str) -> list[tuple[str, str, str]]:
 
 
 def _dot_text(graph, root: int | None) -> str:
-    labels = _labels(graph)
+    labels = graph.labels
     simple = isinstance(graph, SimplicialGraph)
     lines = ["graph G {" if simple else "digraph G {"]
     for i, label in enumerate(labels):
@@ -72,7 +65,7 @@ def _dot_text(graph, root: int | None) -> str:
 
 
 def _graphml_text(graph, root: int | None) -> str:
-    labels = _labels(graph)
+    labels = graph.labels
     simple = isinstance(graph, SimplicialGraph)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

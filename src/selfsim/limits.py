@@ -18,9 +18,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import lcm
 
+import numpy as np
+
 from .core import word, word_str
 from .engine import CanonicalElement, NucleusResult
-from .schreier import SimplicialGraph, _check_cap, build_schreier, pointed_component, simplicial
+from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
+from .schreier import pointed_component, simplicial
 
 _POINT = re.compile(r"^\s*(\S+)\^w(?:\s+(\S+))?\s*$")
 
@@ -340,30 +343,18 @@ def self_similarity_graph(gens: Sequence, depth: int, vertex_cap: int | None = N
     total = sum(k**n for n in range(depth + 1))
     _check_cap(total, vertex_cap)
 
-    offsets = [0]
+    labels, levels, arrows = [], [], []
     for n in range(depth + 1):
-        offsets.append(offsets[-1] + k**n)
-
-    labels = []
-    levels = []
-    for n in range(depth + 1):
-        alphabet_words = aut.alphabet
-        for v in range(k**n):
-            labels.append(word_str(alphabet_words.word_at(v, n)))
-            levels.append(n)
-
-    edges: set[tuple[int, int]] = set()
-    for n in range(1, depth + 1):
-        base = offsets[n]
-        parent_base = offsets[n - 1]
-        block = k ** (n - 1)
-        for v in range(k**n):
-            edges.add((parent_base + v % block, base + v))
-        level_graph = build_schreier(gens, n, vertex_cap)
-        for a, b in simplicial(level_graph).edges:
-            edges.add((base + a, base + b))
-
-    return SimplicialGraph(tuple(labels), tuple(sorted(edges)), tuple(levels))
+        base = len(labels)
+        labels.extend(_vertex_labels(k, n))
+        levels.extend([n] * k**n)
+        if n:
+            # vertical: v at level n hangs from v without its first letter
+            child = np.arange(k**n)
+            arrows.append((base + child, base - k ** (n - 1) + child % k ** (n - 1)))
+            level = simplicial(build_schreier(gens, n, vertex_cap))
+            arrows.append(tuple(base + np.array(level.edges, dtype=np.int64).reshape(-1, 2).T))
+    return SimplicialGraph(tuple(labels), _simple_edges(arrows, total), tuple(levels))
 
 
 def gh_sequence(

@@ -1,7 +1,8 @@
 """Level-n graphs of the tree action.
 
 Vertices of the level-n graph are the words of length n in lexicographic
-order, the leftmost letter most significant. Each generator s contributes
+order, the leftmost letter most significant, labelled "011" (or "0.10.3",
+dots throughout, over more than 10 letters). Each generator s contributes
 one arrow v -> s(v) per vertex. Images are computed level by level as
 permutation arrays, so building a level is linear in |A|^n per state.
 """
@@ -11,10 +12,12 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
-from .core import Alphabet, MealyAutomaton, StateRef, _reachable, word, word_str
+from .core import Alphabet, MealyAutomaton, StateRef, _reachable, word
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -64,6 +67,58 @@ def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> dict[i
     return tables
 
 
+def _vertex_labels(k: int, n: int) -> tuple[str, ...]:
+    """Labels of the level-n words in index order; dot separated throughout when k > 10."""
+    sep = "." if k > 10 else ""
+    return tuple(map(sep.join, product([str(x) for x in range(k)], repeat=n)))
+
+
+def _simple_edges(arrows, total: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edges (lo, hi), lo < hi, of the arrows in the (src, dst) array pairs.
+
+    Loops are dropped and parallel arrows merged by np.unique on lo * total + hi.
+    """
+    keys = [np.empty(0, dtype=np.int64)]
+    for src, dst in arrows:
+        lo = np.minimum(src, dst).astype(np.int64)
+        hi = np.maximum(src, dst).astype(np.int64)
+        keep = lo != hi
+        keys.append(lo[keep] * total + hi[keep])
+    lo, hi = np.divmod(np.unique(np.concatenate(keys)), total)
+    return tuple(zip(lo.tolist(), hi.tolist()))
+
+
+def _component_roots(images: Sequence[np.ndarray], total: int) -> np.ndarray:
+    """Least vertex of each vertex's component under the arrows v -> img[v].
+
+    Hook and jump (Shiloach-Vishkin): each root hooks onto the least root
+    across its arrows, then parents jump to roots, until a round changes
+    nothing. Parents never exceed their vertex, and the rounds grow with
+    log |V|, not with the diameter.
+    """
+    parent = np.arange(total)
+    while True:
+        before = parent.copy()
+        for img in images:
+            ends = parent[img]
+            np.minimum.at(parent, np.maximum(parent, ends), np.minimum(parent, ends))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        if np.array_equal(parent, before):
+            return parent
+
+
+def _components(images: Sequence[np.ndarray], total: int) -> list[np.ndarray]:
+    """Vertex sets of the components, each sorted, ordered by least vertex."""
+    roots = _component_roots(images, total)
+    order = np.argsort(roots, kind="stable")
+    starts = np.flatnonzero(np.diff(roots[order])) + 1
+    return np.split(order, starts)
+
+
 def level_permutation(state: StateRef, n: int, vertex_cap: int | None = None) -> np.ndarray:
     """Permutation array of the state on level n: entry v is the image of v."""
     return build_schreier([state], n, vertex_cap).images[0]
@@ -89,8 +144,12 @@ class LabeledSchreierGraph:
     def vertex_word(self, i: int) -> tuple[int, ...]:
         return Alphabet(self.alphabet_size).word_at(i, self.level)
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return _vertex_labels(self.alphabet_size, self.level)
+
     def vertex_label(self, i: int) -> str:
-        return word_str(self.vertex_word(i))
+        return self.labels[i]
 
     def arrows(self):
         """Yield (source, target, label) in generator order, then vertex order."""
@@ -156,56 +215,14 @@ class SimplicialGraph:
 
 
 def simplicial(graph: LabeledSchreierGraph) -> SimplicialGraph:
-    edges: set[tuple[int, int]] = set()
-    for img in graph.images:
-        src = np.arange(len(img))
-        lo = np.minimum(src, img)
-        hi = np.maximum(src, img)
-        keep = lo != hi
-        edges.update(zip(lo[keep].tolist(), hi[keep].tolist()))
-    labels = tuple(graph.vertex_label(i) for i in range(graph.vertex_count))
-    return SimplicialGraph(labels, tuple(sorted(edges)))
-
-
-def _inverse_tables(graph: LabeledSchreierGraph) -> list[np.ndarray]:
-    out = []
-    for img in graph.images:
-        inv = np.empty_like(img)
-        inv[img] = np.arange(len(img), dtype=img.dtype)
-        out.append(inv)
-    return out
-
-
-def _component_from(
-    start: int, fwd: list[np.ndarray], bwd: list[np.ndarray], visited: np.ndarray
-) -> np.ndarray:
-    frontier = np.array([start], dtype=np.int64)
-    visited[start] = True
-    chunks = [frontier]
-    steps = fwd + bwd
-    while frontier.size:
-        if steps:
-            nxt = np.unique(np.concatenate([arr[frontier] for arr in steps]))
-            nxt = nxt[~visited[nxt]]
-        else:
-            nxt = np.empty(0, dtype=np.int64)
-        visited[nxt] = True
-        chunks.append(nxt)
-        frontier = nxt
-    return np.sort(np.concatenate(chunks))
+    src = np.arange(graph.vertex_count)
+    edges = _simple_edges(((src, img) for img in graph.images), graph.vertex_count)
+    return SimplicialGraph(graph.labels, edges)
 
 
 def connected_components(graph: LabeledSchreierGraph) -> list[np.ndarray]:
-    """Breadth-first partition of the vertices, components ordered by least vertex."""
-    total = graph.vertex_count
-    visited = np.zeros(total, dtype=bool)
-    fwd = graph.images
-    bwd = _inverse_tables(graph)
-    out = []
-    for start in range(total):
-        if not visited[start]:
-            out.append(_component_from(start, fwd, bwd, visited))
-    return out
+    """Partition of the vertices, each component sorted, ordered by least vertex."""
+    return _components(graph.images, graph.vertex_count)
 
 
 def pointed_component(
@@ -225,18 +242,14 @@ def pointed_component(
         if len(root_word) != n:
             raise ValueError(f"root word must have length {n}")
     root = alphabet.index_of(alphabet.check_word(root_word))
-    visited = np.zeros(graph.vertex_count, dtype=bool)
-    members = _component_from(root, graph.images, _inverse_tables(graph), visited)
-    position = {int(v): i for i, v in enumerate(members)}
-    edges: set[tuple[int, int]] = set()
-    for img in graph.images:
-        for v in members.tolist():
-            t = int(img[v])
-            if t != v:
-                a, b = position[v], position[t]
-                edges.add((min(a, b), max(a, b)))
-    labels = tuple(graph.vertex_label(int(v)) for v in members)
-    return SimplicialGraph(labels, tuple(sorted(edges))), position[root]
+    roots = _component_roots(graph.images, graph.vertex_count)
+    members = np.flatnonzero(roots == roots[root])
+    position = np.zeros(graph.vertex_count, dtype=np.int64)
+    position[members] = np.arange(len(members))
+    src = np.arange(len(members))
+    edges = _simple_edges(((src, position[img[members]]) for img in graph.images), len(members))
+    labels = tuple(map(graph.labels.__getitem__, members.tolist()))
+    return SimplicialGraph(labels, edges), int(position[root])
 
 
 def _orbit_code(successors: list[list[int]], root: int) -> tuple:
@@ -257,14 +270,10 @@ def _canonical_label_code(images: list, total: int) -> tuple:
         if not (counts == 1).all():
             raise ValueError("each label must act as a permutation")
     successors = [[int(img[v]) for img in images] for v in range(total)]
-    assigned = np.zeros(total, dtype=bool)
-    codes = []
-    for start in range(total):
-        if assigned[start]:
-            continue
-        orbit, _ = _reachable(successors, [start])
-        assigned[orbit] = True
-        codes.append(min(_orbit_code(successors, v) for v in orbit))
+    codes = [
+        min(_orbit_code(successors, v) for v in orbit.tolist())
+        for orbit in _components(images, total)
+    ]
     return tuple(sorted(codes))
 
 

@@ -288,6 +288,8 @@ def test_console_script_entry_point():
     _check_gen_level_one([sys.executable, "-c", launcher], env=env, cwd=import_root)
     module_run = _check_gen_level_one([sys.executable, "-m", "selfsim"], env=env, cwd=import_root)
     assert module_run.stderr == ""
+    # runpy may warn on stderr that selfsim.cli was imported before it ran
+    _check_gen_level_one([sys.executable, "-m", "selfsim.cli"], env=env, cwd=import_root)
 
     installed = shutil.which("selfsim")
     if installed is not None:

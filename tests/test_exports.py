@@ -10,8 +10,10 @@ from selfsim import (
     build_schreier,
     catalog_get,
     export_graph,
+    parse,
     parse_edges,
     pointed_component,
+    self_similarity_graph,
     simplicial,
     to_automaton,
     BoundaryPoint,
@@ -152,3 +154,18 @@ def test_all_formats_cover_every_vertex():
         text = export_graph(g, fmt)
         for i in range(g.vertex_count):
             assert f"v{i}" in text
+
+
+def test_labels_stay_distinct_over_more_than_ten_letters():
+    # word (10) on level 1 and word (1, 0) on level 2 must not both read "10"
+    cycle = " ".join(str(x) for x in range(11))
+    doc = parse(f"alphabet 11\na = ({cycle})({', '.join(['a'] * 11)})\ngens a\n")
+    gens = to_automaton(doc)[1]
+    g = self_similarity_graph(gens, 2)
+    assert len(set(g.labels)) == g.vertex_count == 1 + 11 + 121
+    assert (g.labels[1 + 10], g.labels[1 + 11 + 11]) == ("10", "1.0")
+    rows = parse_edges(export_graph(g, "edges"))
+    assert len(set(rows)) == len(rows) == len(g.edges)
+    assert len({end for row in rows for end in row[:2]}) == g.vertex_count
+    level = build_schreier(gens, 2)
+    assert level.labels == g.labels[1 + 11 :]

@@ -1,12 +1,15 @@
 """Level graphs: construction, components, pointed components, dual check."""
 
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
+import selfsim.schreier
 from selfsim import (
     Alphabet,
+    LabeledSchreierGraph,
     ResourceCapError,
     act_word,
     build_schreier,
@@ -149,6 +152,61 @@ def test_connected_components_match_union_find():
             assert {frozenset(int(v) for v in c) for c in comps} == component_sets(
                 g.vertex_count, edges
             )
+
+
+def _generated_images(rng, total):
+    kind = rng.choice(("random", "identity", "cycle", "path"))
+    if kind == "random":
+        return [rng.sample(range(total), total)]
+    if kind == "identity":
+        return [list(range(total))]
+    if kind == "cycle":
+        return [[(v + 1) % total for v in range(total)]]
+    # two involutions whose arrows trace a path, cut into pieces at random
+    pair = (list(range(total)), list(range(total)))
+    for v in range(total - 1):
+        if rng.random() < 0.95:
+            pair[v % 2][v], pair[v % 2][v + 1] = v + 1, v
+    return list(pair)
+
+
+def _generated_graph(rng):
+    k = rng.choice((2, 3, 4))
+    n = rng.randint(1, {2: 10, 3: 6, 4: 5}[k])
+    total = k**n
+    images = [img for _ in range(rng.randint(1, 2)) for img in _generated_images(rng, total)]
+    # the same random renumbering of the vertices for every generator
+    sigma = rng.sample(range(total), total)
+    renumbered = []
+    for img in images:
+        out = [0] * total
+        for v in range(total):
+            out[sigma[v]] = sigma[img[v]]
+        renumbered.append(np.array(out))
+    return LabeledSchreierGraph(k, n, tuple(f"g{i}" for i in range(len(images))), renumbered)
+
+
+def test_graph_passes_match_oracles_on_generated_permutations(monkeypatch):
+    rng = random.Random(5)
+    for _ in range(60):
+        g = _generated_graph(rng)
+        total = g.vertex_count
+        arrows = [(v, int(img[v])) for img in g.images for v in range(total)]
+        expected = sorted(sorted(c) for c in component_sets(total, arrows))
+        assert [c.tolist() for c in connected_components(g)] == expected
+        simple = {(min(a, b), max(a, b)) for a, b in arrows if a != b}
+        assert simplicial(g).edges == tuple(sorted(simple))
+
+        monkeypatch.setattr(selfsim.schreier, "build_schreier", lambda gens, n, cap: g)
+        root = rng.randrange(total)
+        comp, at = pointed_component([], Alphabet(g.alphabet_size).word_at(root, g.level), g.level)
+        members = next(c for c in expected if root in c)
+        position = {v: i for i, v in enumerate(members)}
+        assert comp.labels == tuple(g.labels[v] for v in members)
+        assert comp.labels[at] == g.labels[root]
+        assert comp.edges == tuple(
+            sorted((position[a], position[b]) for a, b in simple if a in position)
+        )
 
 
 def test_component_counts_frozen():
