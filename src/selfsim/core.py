@@ -13,9 +13,10 @@ Elements compose as functions: (g h)(w) = g(h(w)), so in a written
 product the rightmost factor acts first, and sections obey
 (g h)|_v = g|_{h(v)} . h|_v.
 
-The operations on raw automaton tables (product, quotient, inverse rows and
-breadth-first reachability) are written once here and shared with the
-engine's canonical elements and the Schreier level tables.
+The operations on raw automaton tables (product, quotient, inverse rows,
+breadth-first reachability and the recurrent-node peel) are written once
+here and shared with the engine's canonical elements, the Schreier level
+tables and the boundary-point equivalence graphs.
 """
 
 from __future__ import annotations
@@ -345,6 +346,26 @@ def _reachable(
                 number[j] = len(order)
                 order.append(j)
     return order, number
+
+
+def _recurrent(successors: Sequence[Sequence[int]]) -> list[int]:
+    """Nodes reachable from a cycle, self-loops included, in ascending order.
+
+    Kahn's peel: drop nodes that no remaining node points to until none is
+    left to drop, counting repeated edges with multiplicity. The nodes left
+    are exactly those that end arbitrarily long paths.
+    """
+    indegree = [0] * len(successors)
+    for row in successors:
+        for j in row:
+            indegree[j] += 1
+    peeled = [i for i, d in enumerate(indegree) if not d]
+    for i in peeled:
+        for j in successors[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                peeled.append(j)
+    return [i for i, d in enumerate(indegree) if d]
 
 
 @functools.cache

@@ -33,6 +33,7 @@ from .core import (
     _product_tables,
     _quotient,
     _reachable,
+    _recurrent,
     _tables,
     invert,
 )
@@ -202,38 +203,12 @@ def recurrent_sections(e: CanonicalElement) -> list[CanonicalElement]:
 
     These are the states of e's automaton reachable from a cycle: any
     sufficiently long path revisits a state, and any state behind a cycle is
-    hit at unboundedly many depths. Cycle states are found through one
-    bitmask transitive closure, then expanded forward.
+    hit at unboundedly many depths. They are what is left after peeling off
+    states no remaining section points to, listed in ascending state order.
     """
-    n = e.size
-    adj = [0] * n
-    for i in range(n):
-        for j in e.sections[i]:
-            adj[i] |= 1 << j
-    # reach[i] as a bitmask; iterate to the fixed point
-    reach = list(adj)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            mask = reach[i]
-            grown = mask
-            rest = mask
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                grown |= reach[j]
-            if grown != mask:
-                reach[i] = grown
-                changed = True
-    on_cycle = [i for i in range(n) if reach[i] >> i & 1]
-    keep = 0
-    for i in on_cycle:
-        keep |= (1 << i) | reach[i]
     uniq: dict[CanonicalElement, None] = {}
-    for j in range(n):
-        if keep >> j & 1:
-            uniq.setdefault(e.state_element(j))
+    for j in _recurrent(e.sections):
+        uniq.setdefault(e.state_element(j))
     return list(uniq)
 
 

@@ -20,7 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import word, word_str
+from .core import _recurrent, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component, simplicial
@@ -163,24 +163,18 @@ def asymptotic_equivalent(
             return False, None
         levels.append(cur)
 
-    # Product graph over the periodic zone: node (s, j) means state s at a
-    # level with phase j. Live nodes admit an infinite extension upward.
+    # Product graph over the periodic zone: node s + j * nstates means state s
+    # at a level with phase j; when s outputs that level's letter it has one
+    # arrow down to its section. Live nodes lie behind a cycle, so they admit
+    # an infinite extension upward; with one arrow per node they are the cycle
+    # nodes, all of which output their letters.
     pairs = [(p.letter(m + 1 + j), q.letter(m + 1 + j)) for j in range(period)]
-    live = {
-        (s, j)
-        for j in range(period)
-        for s in range(nstates)
-        if out[s][pairs[j][0]] == pairs[j][1]
-    }
-    changed = True
-    while changed:
-        changed = False
-        for s, j in sorted(live):
-            jp = (j + 1) % period
-            xp = pairs[jp][0]
-            if not any((sp, jp) in live and sec[sp][xp] == s for sp in range(nstates)):
-                live.discard((s, j))
-                changed = True
+    below = [[] for _ in range(nstates * period)]
+    for j, (x, y) in enumerate(pairs):
+        for s in range(nstates):
+            if out[s][x] == y:
+                below[s + j * nstates].append(sec[s][x] + (j - 1) % period * nstates)
+    live = {(v % nstates, v // nstates) for v in _recurrent(below)}
 
     anchors = sorted(s for s, j in live if j == 0 and sec[s][pairs[0][0]] in levels[m])
     if not anchors:
@@ -223,9 +217,11 @@ def equivalence_class(nucleus: NucleusResult, p: BoundaryPoint) -> set[BoundaryP
 
     Along p's letters, the sets of nucleus states compatible with each output
     choice form a finite deterministic graph; members of the class are the
-    label sequences of its infinite paths. Finiteness of the class makes
-    every cycle node of that graph have a single live continuation, which a
-    structure check asserts before enumerating the lasso-shaped paths.
+    label sequences of its infinite paths. The live nodes, those starting an
+    infinite path, and the nodes behind a cycle both come from one in-degree
+    peel. Finiteness of the class makes every node behind a cycle have a
+    single live continuation, which a structure check asserts before
+    enumerating the lasso-shaped paths.
     """
     k, out, sec, _ = _moore_tables(nucleus)
     _check_point(p, k)
@@ -254,59 +250,38 @@ def equivalence_class(nucleus: NucleusResult, p: BoundaryPoint) -> set[BoundaryP
             return ("cyc", 0)
         return ("cyc", (pos + 1) % period)
 
-    start = ("pre", 0, frozenset(range(nstates)))
-    edges: dict[tuple, list[tuple[int, tuple]]] = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        node = stack.pop()
-        states = node[2]
+    # Nodes are numbered in discovery order; edges[i] lists (label, successor).
+    nodes = [("pre", 0, frozenset(range(nstates)))]
+    number = {nodes[0]: 0}
+    edges = []
+    for node in nodes:
         x = letter_after(node)
+        nkind, npos = successor_key(node)
         succs = []
         for y in range(k):
-            nxt_states = advance(states, x, y)
-            if not nxt_states:
-                continue
-            nkind, npos = successor_key(node)
-            nxt = (nkind, npos, nxt_states)
-            succs.append((y, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-        edges[node] = succs
+            nxt_states = advance(node[2], x, y)
+            if nxt_states:
+                nxt = (nkind, npos, nxt_states)
+                if nxt not in number:
+                    number[nxt] = len(nodes)
+                    nodes.append(nxt)
+                succs.append((y, number[nxt]))
+        edges.append(succs)
 
-    # Greatest fixed point: keep nodes with some successor still live.
-    live = set(seen)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(live):
-            if not any(nxt in live for _, nxt in edges[node]):
-                live.discard(node)
-                changed = True
-
-    if start not in live:
+    # Live nodes start an infinite path: they lie behind a cycle of the
+    # reversed graph.
+    back = [[] for _ in nodes]
+    for i, succs in enumerate(edges):
+        for _, j in succs:
+            back[j].append(i)
+    live = set(_recurrent(back))
+    if 0 not in live:
         raise RuntimeError("no infinite path for the point itself; nucleus data inconsistent")
 
-    live_edges = {
-        node: [(y, nxt) for y, nxt in edges[node] if nxt in live] for node in live
-    }
-
-    def on_cycle(node) -> bool:
-        frontier = [nxt for _, nxt in live_edges[node]]
-        visited = set()
-        while frontier:
-            cur = frontier.pop()
-            if cur == node:
-                return True
-            if cur in visited:
-                continue
-            visited.add(cur)
-            frontier.extend(nxt for _, nxt in live_edges[cur])
-        return False
-
-    for node in live:
-        if len(live_edges[node]) > 1 and on_cycle(node):
+    live_edges = [[(y, j) for y, j in succs if j in live] for succs in edges]
+    # A branching node behind a cycle forces one on the cycle, where the path leaves it.
+    for i in _recurrent([[j for _, j in succs] for succs in edges]):
+        if len(live_edges[i]) > 1:
             raise RuntimeError(
                 "equivalence class enumeration found a branching cycle; class not finite"
             )
@@ -329,7 +304,7 @@ def equivalence_class(nucleus: NucleusResult, p: BoundaryPoint) -> set[BoundaryP
                 walk(nxt, labels + [y], dict(entered))
             return
 
-    walk(start, [], {})
+    walk(0, [], {})
     return results
 
 

@@ -67,10 +67,20 @@ def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> dict[i
     return tables
 
 
-def _vertex_labels(k: int, n: int) -> tuple[str, ...]:
-    """Labels of the level-n words in index order; dot separated throughout when k > 10."""
+def _vertex_labels(k: int, n: int, vertices: Sequence[int] | None = None) -> tuple[str, ...]:
+    """Labels of the level-n words in index order, or of the given vertices only.
+
+    Letters are dot separated throughout when k > 10. Labels of given vertices
+    are joined from two half-length tables, so no more than k^ceil(n/2) words
+    are labelled in full.
+    """
     sep = "." if k > 10 else ""
-    return tuple(map(sep.join, product([str(x) for x in range(k)], repeat=n)))
+    if vertices is not None and n > 1:
+        half = k ** (n // 2)
+        hi, lo = _vertex_labels(k, n - n // 2), _vertex_labels(k, n // 2)
+        return tuple(hi[v // half] + sep + lo[v % half] for v in vertices)
+    labels = tuple(map(sep.join, product([str(x) for x in range(k)], repeat=n)))
+    return labels if vertices is None else tuple(labels[v] for v in vertices)
 
 
 def _simple_edges(arrows, total: int) -> tuple[tuple[int, int], ...]:
@@ -248,7 +258,7 @@ def pointed_component(
     position[members] = np.arange(len(members))
     src = np.arange(len(members))
     edges = _simple_edges(((src, position[img[members]]) for img in graph.images), len(members))
-    labels = tuple(map(graph.labels.__getitem__, members.tolist()))
+    labels = _vertex_labels(graph.alphabet_size, n, members.tolist())
     return SimplicialGraph(labels, edges), int(position[root])
 
 

@@ -144,3 +144,20 @@ def equivalent_points(out, sec, p, q, nstates: int) -> bool:
             break
         core -= dead
     return bool(reach & core)
+
+
+def recurrent_nodes(successors) -> list[int]:
+    """Nodes that end some walk with a length in [N, 2N), N the node count.
+
+    A walk of N or more steps repeats a node, so its end lies behind a
+    cycle. Conversely, walks into a node d steps behind a cycle of length
+    c <= N come in every length d + t*c, and one of them falls in [N, 2N).
+    """
+    n = len(successors)
+    ends = set(range(n))
+    found = set()
+    for length in range(1, 2 * n):
+        ends = {j for i in ends for j in successors[i]}
+        if length >= n:
+            found |= ends
+    return sorted(found)

@@ -1,5 +1,6 @@
 """Words, permutations, automata, actions, inversion, products, minimization."""
 
+import random
 from itertools import product
 
 import pytest
@@ -21,8 +22,9 @@ from selfsim import (
     word,
     word_str,
 )
+from selfsim.core import _recurrent
 
-from ._oracles import doc_act, words_upto
+from ._oracles import doc_act, recurrent_nodes, words_upto
 
 
 def _basilica():
@@ -240,3 +242,55 @@ def test_minimize_already_minimal():
     _, aut, _ = _basilica()
     small, _ = minimize(aut)
     assert len(small) == len(aut)
+
+
+def _generated_digraph(rng):
+    kind = rng.choice(("dag", "loops", "cycle", "random"))
+    n = rng.randint(1, 30 if kind == "cycle" else 12)
+    succ = [[] for _ in range(n)]
+    if kind == "dag":
+        for i, j in product(range(n), repeat=2):
+            if i < j:
+                succ[i].extend([j] * rng.choice((0, 0, 1, 2)))
+    elif kind == "loops":
+        # self-loops and repeated edges
+        for i in range(n):
+            for _ in range(rng.randint(0, 2)):
+                j = i if rng.random() < 0.4 else rng.randrange(n)
+                succ[i].extend([j] * rng.randint(1, 3))
+    elif kind == "cycle":
+        # one cycle on the first nodes; each later node is a tail node, leading
+        # into an earlier node or hanging behind one
+        length = rng.randint(1, n)
+        for i in range(length):
+            succ[i].append((i + 1) % length)
+        for i in range(length, n):
+            j = rng.randrange(i)
+            if rng.random() < 0.5:
+                succ[i].append(j)
+            else:
+                succ[j].append(i)
+    else:
+        for i, j in product(range(n), repeat=2):
+            if rng.random() < 1.2 / n:
+                succ[i].append(j)
+    # the same random renumbering for every edge, rows in random order
+    sigma = rng.sample(range(n), n)
+    out = [[] for _ in range(n)]
+    for i, row in enumerate(succ):
+        out[sigma[i]] = rng.sample([sigma[j] for j in row], len(row))
+    return kind, out
+
+
+def test_recurrent_matches_walk_oracle_on_generated_digraphs():
+    assert _recurrent([]) == recurrent_nodes([]) == []
+    assert _recurrent([[], []]) == recurrent_nodes([[], []]) == []
+    rng = random.Random(7)
+    for _ in range(200):
+        kind, succ = _generated_digraph(rng)
+        got = _recurrent(succ)
+        assert got == recurrent_nodes(succ), (kind, succ)
+        if kind == "dag":
+            assert got == []
+        if kind == "cycle":
+            assert got

@@ -25,7 +25,7 @@ from selfsim import (
     to_automaton,
 )
 
-from ._oracles import doc_act, word_act, words_upto
+from ._oracles import doc_act, recurrent_nodes, word_act, words_upto
 
 
 def _load(key):
@@ -371,6 +371,8 @@ def test_table_kernel_against_oracles_on_generated_automata():
             assert cw.act(v) == word_act(doc, factors, v)
         assert canonicalize(u * w) == canonicalize(u) * cw
         assert canonicalize(w.inverse()) == cw.inverse()
+        expected = dict.fromkeys(cw.state_element(j) for j in recurrent_nodes(cw.sections))
+        assert recurrent_sections(cw) == list(expected)
 
         squared = product_automaton(aut, 2)
         for left, right in product(aut.names, repeat=2):

@@ -6,9 +6,11 @@ import pytest
 
 from selfsim import (
     FORMATS,
+    Alphabet,
     ResourceCapError,
     build_schreier,
     catalog_get,
+    connected_components,
     export_graph,
     parse,
     parse_edges,
@@ -169,3 +171,10 @@ def test_labels_stay_distinct_over_more_than_ten_letters():
     assert len({end for row in rows for end in row[:2]}) == g.vertex_count
     level = build_schreier(gens, 2)
     assert level.labels == g.labels[1 + 11 :]
+    # pointed labels are joined from half-length tables and must read the same
+    for root in ((10, 1), (1, 0, 10), (3, 10, 0, 7)):
+        level = build_schreier(gens, len(root))
+        comp, at = pointed_component(gens, root, len(root))
+        members = next(c for c in connected_components(level) if Alphabet(11).index_of(root) in c)
+        assert comp.labels == tuple(level.labels[v] for v in members.tolist())
+        assert comp.labels[at] == ".".join(map(str, root))

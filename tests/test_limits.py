@@ -1,11 +1,14 @@
 """Boundary points, asymptotic equivalence, limit space approximations."""
 
+import random
 from itertools import product
 
 import pytest
 
 from selfsim import (
     BoundaryPoint,
+    CanonicalElement,
+    NucleusResult,
     asymptotic_equivalent,
     catalog_get,
     compute_nucleus,
@@ -17,11 +20,13 @@ from selfsim import (
     self_similarity_graph,
     simplicial,
     build_schreier,
+    canonical_state,
     to_automaton,
     ResourceCapError,
 )
 
 from ._oracles import component_count, equivalent_points
+from .test_engine import _random_document
 
 
 def _nucleus(key):
@@ -168,6 +173,38 @@ def test_classes_agree_with_pairwise_decisions():
             assert len(cls) <= len(nuc.elements)
             for q in pts:
                 assert (q in cls) == asymptotic_equivalent(nuc, p, q)[0]
+
+
+def _state_set_nucleus(gens):
+    """The identity and every state of the automaton, as a hand-built section-closed set."""
+    k = gens[0].automaton.alphabet.size
+    states = [canonical_state(st) for st in gens[0].automaton.states()]
+    elements = tuple(dict.fromkeys([CanonicalElement.identity(k), *states]))
+    return NucleusResult("contracting", elements, 1, len(elements), 1)
+
+
+def _random_point(rng, k):
+    pre = tuple(rng.randrange(k) for _ in range(rng.randint(0, 2)))
+    return BoundaryPoint(pre, tuple(rng.randrange(k) for _ in range(rng.randint(1, 3))))
+
+
+def test_equivalence_matches_oracles_on_generated_automata():
+    rng = random.Random(6)
+    for _ in range(60):
+        doc = _random_document(rng)
+        nuc = _state_set_nucleus(to_automaton(doc)[1])
+        out, sec, nstates = _moore_tables(nuc)
+        pts = [_random_point(rng, doc.alphabet_size) for _ in range(6)]
+        for p in pts:
+            cls = equivalence_class(nuc, p)
+            assert p in cls
+            assert len(cls) <= nstates
+            for q in pts:
+                got, wit = asymptotic_equivalent(nuc, p, q)
+                assert got == equivalent_points(out, sec, p, q, nstates), (str(p), str(q))
+                assert (q in cls) == got
+                if got:
+                    assert wit.validate(p, q)
 
 
 def test_witness_fails_on_wrong_points():

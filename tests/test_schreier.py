@@ -197,9 +197,12 @@ def test_graph_passes_match_oracles_on_generated_permutations(monkeypatch):
         simple = {(min(a, b), max(a, b)) for a, b in arrows if a != b}
         assert simplicial(g).edges == tuple(sorted(simple))
 
-        monkeypatch.setattr(selfsim.schreier, "build_schreier", lambda gens, n, cap: g)
+        fresh = LabeledSchreierGraph(g.alphabet_size, g.level, g.gen_labels, g.images)
+        monkeypatch.setattr(selfsim.schreier, "build_schreier", lambda gens, n, cap: fresh)
         root = rng.randrange(total)
         comp, at = pointed_component([], Alphabet(g.alphabet_size).word_at(root, g.level), g.level)
+        # only the members are labelled, not the whole level
+        assert "labels" not in vars(fresh)
         members = next(c for c in expected if root in c)
         position = {v: i for i, v in enumerate(members)}
         assert comp.labels == tuple(g.labels[v] for v in members)
