@@ -6,7 +6,6 @@ from selfsim import (
     connected_components,
     export_graph,
     simplicial,
-    symbolic_matrix,
     to_automaton,
 )
 
@@ -21,14 +20,11 @@ def main():
     print(export_graph(g1, "matrix"), end="")
 
     g3 = build_schreier(gens, 3)
-    m = symbolic_matrix(g3)
     print(f"\nlevel 3: {g3.vertex_count} vertices, {g3.arrow_count} arrows")
-    print(f"arrows from 000: ", end="")
-    print(", ".join(
-        f"{'+'.join(m.entry(0, j))} -> {g3.vertex_label(j)}"
-        for j in range(g3.vertex_count)
-        if m.entry(0, j)
-    ))
+    # row 000 of the symbolic adjacency matrix: the generators taking 000 to each vertex
+    row = export_graph(g3, "matrix").splitlines()[0].split(",")
+    print("arrows from 000: ", end="")
+    print(", ".join(f"{cell} -> {g3.vertex_label(j)}" for j, cell in enumerate(row) if cell != "0"))
 
     s = simplicial(g3)
     print(f"simplicial version keeps {len(s.edges)} of {g3.arrow_count} arrows as edges")

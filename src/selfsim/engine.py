@@ -19,6 +19,7 @@ The table operations behind canonical elements live in selfsim.core.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -325,13 +326,14 @@ def compute_nucleus(
     depth = 1
     for left, right in itertools.product(pool, repeat=2):
         prod = left * right
+        # membership only of the states the walk reaches, each tested once
+        inside = functools.cache(lambda i: prod.state_element(i) in element_set)
         level = {0}
-        membership = {i: prod.state_element(i) in element_set for i in range(prod.size)}
         d = 0
         while True:
             level = {prod.sections[i][x] for i in level for x in range(prod.k)}
             d += 1
-            if all(membership[i] for i in level):
+            if all(inside(i) for i in level):
                 break
             if d >= max_depth:
                 return NucleusResult(
@@ -370,18 +372,8 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     aut = gens[0].automaton
     k = aut.alphabet.size
     perms = [aut.perms[g.index] for g in gens]
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in perms:
-                for y in (p(x), p.inverse()(x)):
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    if len(orbit) != k:
+    moves = [[p(x) for p in perms] + [p.inverse()(x) for p in perms] for x in range(k)]
+    if len(_reachable(moves, [0])[0]) < k:
         return RecurrenceVerdict("false")
 
     targets = {canonical_state(g) for g in gens}

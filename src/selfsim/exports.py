@@ -2,36 +2,39 @@
 
 Formats: edges (TSV "src\\tdst\\tlabel"), dot, graphml, and the symbolic
 adjacency matrix as CSV with multiset entries joined by "+" and empty cells
-rendered "0". Vertex order is fixed by the graph, so identical graphs
-export byte-identical streams.
+rendered "0". Every format is written from one lazy row source of
+(src, dst, label): a labeled graph's arrows in generator order, then vertex
+order, read from its image arrays; a simplicial graph's edges with label
+None, meaning undirected. Vertex order is fixed by the graph, so identical
+graphs export byte-identical streams.
 """
 
 from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .schreier import (
-    ResourceCapError,
-    SimplicialGraph,
-    symbolic_matrix,
-)
+from .schreier import ResourceCapError, SimplicialGraph
 
-FORMATS = ("edges", "dot", "graphml", "matrix")
 MATRIX_LIMIT = 4096
 
 
-def _edges_text(graph, root: int | None) -> str:
-    lines = []
-    labels = graph.labels
-    if root is not None:
-        lines.append(f"# root\t{labels[root]}")
+def _rows(graph):
+    """Lazy (src, dst, label) rows of the graph; label None for an undirected edge."""
     if isinstance(graph, SimplicialGraph):
-        for a, b in graph.edges:
-            lines.append(f"{labels[a]}\t{labels[b]}\t")
-    else:
-        for src, dst, gen in graph.arrows():
-            lines.append(f"{labels[src]}\t{labels[dst]}\t{gen}")
-    return "\n".join(lines) + "\n" if lines else ""
+        return ((a, b, None) for a, b in graph.edges)
+    return (
+        (src, dst, label)
+        for label, img in zip(graph.gen_labels, graph.images)
+        for src, dst in enumerate(img.tolist())
+    )
+
+
+def _edges_text(graph, root: int | None) -> str:
+    labels = graph.labels
+    head = f"# root\t{labels[root]}\n" if root is not None else ""
+    return head + "".join(
+        f"{labels[src]}\t{labels[dst]}\t{gen or ''}\n" for src, dst, gen in _rows(graph)
+    )
 
 
 def parse_edges(text: str) -> list[tuple[str, str, str]]:
@@ -48,24 +51,18 @@ def parse_edges(text: str) -> list[tuple[str, str, str]]:
 
 
 def _dot_text(graph, root: int | None) -> str:
-    labels = graph.labels
-    simple = isinstance(graph, SimplicialGraph)
-    lines = ["graph G {" if simple else "digraph G {"]
-    for i, label in enumerate(labels):
+    lines = ["graph G {" if isinstance(graph, SimplicialGraph) else "digraph G {"]
+    for i, label in enumerate(graph.labels):
         extra = ", shape=doublecircle" if i == root else ""
         lines.append(f'  v{i} [label="{label}"{extra}];')
-    if simple:
-        for a, b in graph.edges:
-            lines.append(f"  v{a} -- v{b};")
-    else:
-        for src, dst, gen in graph.arrows():
-            lines.append(f'  v{src} -> v{dst} [label="{gen}"];')
+    for src, dst, gen in _rows(graph):
+        edge = f"  v{src} -- v{dst}" if gen is None else f'  v{src} -> v{dst} [label="{gen}"]'
+        lines.append(edge + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _graphml_text(graph, root: int | None) -> str:
-    labels = graph.labels
     simple = isinstance(graph, SimplicialGraph)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -77,48 +74,47 @@ def _graphml_text(graph, root: int | None) -> str:
     if root is not None:
         lines.append('  <key id="root" for="node" attr.name="root" attr.type="boolean"/>')
     lines.append(f'  <graph id="G" edgedefault="{"undirected" if simple else "directed"}">')
-    for i, label in enumerate(labels):
+    for i, label in enumerate(graph.labels):
         datum = f'<data key="label">{escape(label)}</data>'
         if i == root:
             datum += '<data key="root">true</data>'
         lines.append(f'    <node id="v{i}">{datum}</node>')
-    if simple:
-        for a, b in graph.edges:
-            lines.append(f'    <edge source="v{a}" target="v{b}"/>')
-    else:
-        for src, dst, gen in graph.arrows():
-            lines.append(
-                f'    <edge source="v{src}" target="v{dst}">'
-                f'<data key="gen">{escape(gen)}</data></edge>'
-            )
+    for src, dst, gen in _rows(graph):
+        edge = f'    <edge source="v{src}" target="v{dst}"'
+        tail = "/>" if gen is None else f'><data key="gen">{escape(gen)}</data></edge>'
+        lines.append(edge + tail)
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
 
 
-def _matrix_text(graph) -> str:
+def _matrix_text(graph, root: int | None) -> str:
+    """The symbolic adjacency matrix; it has no place to mark a root."""
     if isinstance(graph, SimplicialGraph):
         raise ValueError("matrix export needs the labeled graph, not a simplicial one")
-    if graph.vertex_count > MATRIX_LIMIT:
-        raise ResourceCapError(
-            f"dense matrix export limited to {MATRIX_LIMIT} vertices, got {graph.vertex_count}"
-        )
-    matrix = symbolic_matrix(graph)
-    dim = matrix.dimension
-    rows = [["0"] * dim for _ in range(dim)]
-    for (i, j), gens in matrix.entries.items():
-        rows[i][j] = "+".join(gens)
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    dim = graph.vertex_count
+    if dim > MATRIX_LIMIT:
+        raise ResourceCapError(f"dense matrix export limited to {MATRIX_LIMIT} vertices, got {dim}")
+    cells: dict[tuple[int, int], list[str]] = {}
+    for src, dst, gen in _rows(graph):
+        cells.setdefault((src, dst), []).append(gen)
+    grid = [["0"] * dim for _ in range(dim)]
+    for (i, j), gens in cells.items():
+        grid[i][j] = "+".join(gens)
+    return "".join(",".join(row) + "\n" for row in grid)
+
+
+_WRITERS = {
+    "edges": _edges_text,
+    "dot": _dot_text,
+    "graphml": _graphml_text,
+    "matrix": _matrix_text,
+}
+FORMATS = tuple(_WRITERS)
 
 
 def export_graph(graph, fmt: str, root: int | None = None) -> str:
     """Render a labeled or simplicial graph in the requested format."""
-    if fmt == "edges":
-        return _edges_text(graph, root)
-    if fmt == "dot":
-        return _dot_text(graph, root)
-    if fmt == "graphml":
-        return _graphml_text(graph, root)
-    if fmt == "matrix":
-        return _matrix_text(graph)
-    raise ValueError(f"unsupported format {fmt!r}; choose from {', '.join(FORMATS)}")
+    if fmt not in _WRITERS:
+        raise ValueError(f"unsupported format {fmt!r}; choose from {', '.join(FORMATS)}")
+    return _WRITERS[fmt](graph, root)

@@ -23,7 +23,7 @@ import numpy as np
 from .core import _recurrent, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
-from .schreier import pointed_component, simplicial
+from .schreier import pointed_component
 
 _POINT = re.compile(r"^\s*(\S+)\^w(?:\s+(\S+))?\s*$")
 
@@ -132,14 +132,16 @@ class EquivalenceWitness:
 
 
 def _moore_tables(nucleus: NucleusResult):
-    aut, index = nucleus.moore_automaton()
-    k = aut.alphabet.size
-    out = [[aut.perms[i](x) for x in range(k)] for i in range(len(aut))]
-    sec = [list(row) for row in aut.sections]
-    elements = [None] * len(aut)
-    for el, i in index.items():
-        elements[i] = el
-    return k, out, sec, elements
+    """(k, outputs, sections, elements) of the nucleus Moore diagram, built once per nucleus."""
+    tables = vars(nucleus).get("_moore_tables")
+    if tables is None:
+        aut, index = nucleus.moore_automaton()
+        k = aut.alphabet.size
+        out = tuple(tuple(aut.perms[i](x) for x in range(k)) for i in range(len(aut)))
+        tables = k, out, aut.sections, tuple(sorted(index, key=index.get))
+        # the result is frozen; the tables are derived data, not a field
+        object.__setattr__(nucleus, "_moore_tables", tables)
+    return tables
 
 
 def asymptotic_equivalent(
@@ -327,8 +329,9 @@ def self_similarity_graph(gens: Sequence, depth: int, vertex_cap: int | None = N
             # vertical: v at level n hangs from v without its first letter
             child = np.arange(k**n)
             arrows.append((base + child, base - k ** (n - 1) + child % k ** (n - 1)))
-            level = simplicial(build_schreier(gens, n, vertex_cap))
-            arrows.append(tuple(base + np.array(level.edges, dtype=np.int64).reshape(-1, 2).T))
+            # horizontal: the generators' arrows within the level
+            level = build_schreier(gens, n, vertex_cap)
+            arrows.extend((base + child, base + img) for img in level.images)
     return SimplicialGraph(tuple(labels), _simple_edges(arrows, total), tuple(levels))
 
 

@@ -161,13 +161,6 @@ class LabeledSchreierGraph:
     def vertex_label(self, i: int) -> str:
         return self.labels[i]
 
-    def arrows(self):
-        """Yield (source, target, label) in generator order, then vertex order."""
-        for g, label in enumerate(self.gen_labels):
-            img = self.images[g]
-            for v in range(self.vertex_count):
-                yield v, int(img[v]), label
-
 
 def build_schreier(
     gens: Sequence[StateRef], n: int, vertex_cap: int | None = None
@@ -188,26 +181,6 @@ def build_schreier(
         n,
         tuple(g.name for g in gens),
         [tables[g.index] for g in gens],
-    )
-
-
-@dataclass
-class SymbolicAdjacencyMatrix:
-    """Square matrix whose entry (i, j) is the multiset of generators mapping i to j."""
-
-    dimension: int
-    entries: dict[tuple[int, int], tuple[str, ...]]
-
-    def entry(self, i: int, j: int) -> tuple[str, ...]:
-        return self.entries.get((i, j), ())
-
-
-def symbolic_matrix(graph: LabeledSchreierGraph) -> SymbolicAdjacencyMatrix:
-    entries: dict[tuple[int, int], list[str]] = {}
-    for src, dst, label in graph.arrows():
-        entries.setdefault((src, dst), []).append(label)
-    return SymbolicAdjacencyMatrix(
-        graph.vertex_count, {key: tuple(val) for key, val in entries.items()}
     )
 
 

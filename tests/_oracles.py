@@ -50,6 +50,16 @@ def words_upto(k: int, n: int):
         yield from product(range(k), repeat=length)
 
 
+def arrow_rows(graph) -> list[tuple[int, int, str]]:
+    """(src, dst, generator) of a labeled graph's arrows, generator by generator,
+    each generator's arrows in vertex order, read entry by entry from its images."""
+    rows = []
+    for label, img in zip(graph.gen_labels, graph.images):
+        for v in range(graph.vertex_count):
+            rows.append((v, int(img[v]), label))
+    return rows
+
+
 class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))

@@ -21,6 +21,8 @@ from selfsim import (
     BoundaryPoint,
 )
 
+from ._oracles import arrow_rows
+
 
 def _graph(key, n):
     gens = to_automaton(catalog_get(key).document())[1]
@@ -41,7 +43,7 @@ def test_edges_round_trip():
     g = _graph("basilica", 3)
     rows = parse_edges(export_graph(g, "edges"))
     assert rows == [
-        (g.vertex_label(src), g.vertex_label(dst), lab) for src, dst, lab in g.arrows()
+        (g.vertex_label(src), g.vertex_label(dst), lab) for src, dst, lab in arrow_rows(g)
     ]
 
 
@@ -123,6 +125,18 @@ def test_matrix_entries_join_parallel_arrows():
     joined = sorted(cell for row in rows for cell in row)
     total = sum(len(cell.split("+")) for cell in joined if cell != "0")
     assert total == 4  # two generators, two vertices
+
+
+def test_matrix_export_agrees_with_images():
+    g = _graph("basilica", 3)
+    cells = [line.split(",") for line in export_graph(g, "matrix").splitlines()]
+    assert len(cells) == 8 and all(len(row) == 8 for row in cells)
+    for i in range(8):
+        for j in range(8):
+            gens = [lab for lab, img in zip(g.gen_labels, g.images) if int(img[i]) == j]
+            assert cells[i][j] == ("+".join(gens) if gens else "0")
+    total = sum(len(cell.split("+")) for row in cells for cell in row if cell != "0")
+    assert total == g.arrow_count
 
 
 def test_matrix_rejects_simplicial_graphs():

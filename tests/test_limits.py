@@ -133,6 +133,29 @@ def test_odometer_classes_are_dyadic_expansions():
     assert equivalence_class(nuc, third) == {third}
 
 
+def test_moore_tables_built_once_per_nucleus(monkeypatch):
+    _, nuc = _nucleus("basilica")
+    calls = []
+    original = NucleusResult.moore_automaton
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(NucleusResult, "moore_automaton", counted)
+    pts = _sample_points()
+    verdicts = [asymptotic_equivalent(nuc, p, q)[0] for p in pts for q in pts]
+    classes = [equivalence_class(nuc, p) for p in pts]
+    assert calls == [nuc]
+    assert any(verdicts) and not all(verdicts)
+    assert all(p in cls for p, cls in zip(pts, classes))
+    # another nucleus builds its own tables
+    _, other = _nucleus("odometer")
+    zero, one = BoundaryPoint.parse("0^w"), BoundaryPoint.parse("1^w")
+    assert asymptotic_equivalent(other, zero, one)[0]
+    assert calls == [nuc, other]
+
+
 def test_equivalence_matches_path_oracle():
     for key in ("odometer", "basilica", "grigorchuk"):
         _, nuc = _nucleus(key)

@@ -1,6 +1,7 @@
 """Level graphs: construction, components, pointed components, dual check."""
 
 import random
+import xml.etree.ElementTree as ET
 from itertools import product
 
 import numpy as np
@@ -16,15 +17,16 @@ from selfsim import (
     catalog_get,
     connected_components,
     dual_moore_check,
+    export_graph,
     level_permutation,
+    parse_edges,
     pointed_component,
     simplicial,
-    symbolic_matrix,
     to_automaton,
     BoundaryPoint,
 )
 
-from ._oracles import component_count, component_sets
+from ._oracles import arrow_rows, component_count, component_sets
 
 
 def _gens(key):
@@ -47,7 +49,7 @@ def test_level_zero_graph():
     gens = _gens("basilica")
     g = build_schreier(gens, 0)
     assert g.vertex_count == 1
-    assert list(g.arrows()) == [(0, 0, "a"), (0, 0, "b")]
+    assert arrow_rows(g) == [(0, 0, "a"), (0, 0, "b")]
 
 
 def test_arrows_match_the_action_exhaustively():
@@ -110,28 +112,13 @@ def test_vertex_cap_env_variable(monkeypatch):
         build_schreier(gens, 7)
 
 
-def test_symbolic_matrix_agrees_with_arrows():
-    gens = _gens("basilica")
-    g = build_schreier(gens, 3)
-    m = symbolic_matrix(g)
-    assert m.dimension == 8
-    collected = {}
-    for src, dst, label in g.arrows():
-        collected.setdefault((src, dst), []).append(label)
-    for i in range(8):
-        for j in range(8):
-            assert m.entry(i, j) == tuple(collected.get((i, j), []))
-    total = sum(len(m.entry(i, j)) for i in range(8) for j in range(8))
-    assert total == g.arrow_count
-
-
 def test_simplicial_drops_loops_and_multiplicity():
     gens = _gens("basilica")
     g = build_schreier(gens, 3)
     s = simplicial(g)
     assert s.vertex_count == g.vertex_count
     expected = set()
-    for src, dst, _ in g.arrows():
+    for src, dst, _ in arrow_rows(g):
         if src != dst:
             expected.add((min(src, dst), max(src, dst)))
     assert set(s.edges) == expected
@@ -147,7 +134,7 @@ def test_connected_components_match_union_find():
         for n in range(1, depth + 1):
             g = build_schreier(gens, n)
             comps = connected_components(g)
-            edges = [(src, dst) for src, dst, _ in g.arrows()]
+            edges = [(src, dst) for src, dst, _ in arrow_rows(g)]
             assert len(comps) == component_count(g.vertex_count, edges)
             assert {frozenset(int(v) for v in c) for c in comps} == component_sets(
                 g.vertex_count, edges
@@ -210,6 +197,40 @@ def test_graph_passes_match_oracles_on_generated_permutations(monkeypatch):
         assert comp.edges == tuple(
             sorted((position[a], position[b]) for a, b in simple if a in position)
         )
+
+
+def test_exports_match_oracles_on_generated_permutations():
+    ns = {"g": "http://graphml.org/xmlns"}
+    rng = random.Random(6)
+    for _ in range(60):
+        g = _generated_graph(rng)
+        labels = g.labels
+        rows = arrow_rows(g)
+        assert parse_edges(export_graph(g, "edges")) == [
+            (labels[src], labels[dst], gen) for src, dst, gen in rows
+        ]
+        s = simplicial(g)
+        assert parse_edges(export_graph(s, "edges")) == [
+            (labels[a], labels[b], "") for a, b in s.edges
+        ]
+
+        for graph, expected in ((g, rows), (s, [(a, b, None) for a, b in s.edges])):
+            tree = ET.fromstring(export_graph(graph, "graphml"))
+            assert len(tree.findall(".//g:node", ns)) == g.vertex_count
+            edges = tree.findall(".//g:edge", ns)
+            assert len(edges) == len(expected)
+            assert [
+                (e.get("source"), e.get("target"), e.findtext("g:data", None, ns))
+                for e in edges
+            ] == [(f"v{src}", f"v{dst}", gen) for src, dst, gen in expected]
+
+        if g.vertex_count <= 64:
+            cells = [line.split(",") for line in export_graph(g, "matrix").splitlines()]
+            oracle = [["0"] * g.vertex_count for _ in range(g.vertex_count)]
+            for src, dst, gen in rows:
+                cell = oracle[src][dst]
+                oracle[src][dst] = gen if cell == "0" else f"{cell}+{gen}"
+            assert cells == oracle
 
 
 def test_component_counts_frozen():
