@@ -12,16 +12,20 @@ recurring arbitrarily deep in products, computed as a closure: seed with
 the recurrent sections of the generators and their inverses, then fold in
 the recurrent sections of all pairwise products until stable or a bound
 trips. Recurrent sections of a finite-state element are the states
-reachable through a cycle of its automaton.
+reachable through a cycle of its automaton. The closure keeps every
+element it meets as one state of a pool, a single table of pairwise
+distinct elements, so an element is an int and a product of two is a node
+of the pool's pair graph. Recurrent sections of products are the pairs
+behind a cycle of that graph, and each pair is interned once, by one
+quotient of the pool with the new pairs; the depth certificate reads the
+same pairs.
 
 The table operations behind canonical elements live in selfsim.core.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .core import (
@@ -273,75 +277,150 @@ class NotContractingError(RuntimeError):
     """The operation needs a contracting nucleus but none was certified."""
 
 
+class _Pool:
+    """Pairwise distinct elements as the states of one (images, sections) table.
+
+    The pair (p, q) of pool states stands for the product p q; in the pair
+    graph its successors are (p|_{q(x)}, q|_x), one per letter x. cls maps
+    every pair met to its pool state once intern() has placed it, and to -1
+    before.
+    """
+
+    def __init__(self, elements: Sequence[CanonicalElement]) -> None:
+        images: list[tuple[int, ...]] = []
+        sections: list[tuple[int, ...]] = []
+        starts = []
+        for el in elements:
+            starts.append(len(images))
+            images.extend(el.perms)
+            sections.extend(tuple(starts[-1] + j for j in row) for row in el.sections)
+        color, _, self.tables = _quotient((tuple(images), tuple(sections)))
+        self.ids = [color[i] for i in starts]
+        self.cls: dict[tuple[int, int], int] = {}
+
+    def successors(self, pair: tuple[int, int]) -> list[tuple[int, int]]:
+        images, sections = self.tables
+        p, q = pair
+        return [(sections[p][y], sections[q][x]) for x, y in enumerate(images[q])]
+
+    def explore(self, roots: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """The pairs reachable from roots that were not met before, breadth first."""
+        new = [root for root in dict.fromkeys(roots) if root not in self.cls]
+        self.cls.update(dict.fromkeys(new, -1))
+        for pair in new:
+            for nxt in self.successors(pair):
+                if nxt not in self.cls:
+                    self.cls[nxt] = -1
+                    new.append(nxt)
+        return new
+
+    def intern(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """Place pairs in the pool; every successor of one is placed or among them.
+
+        Classes of the quotient are numbered by first occurrence, so pool
+        states keep their numbers and each new class is the next state.
+        """
+        if not pairs:
+            return
+        images, sections = self.tables
+        local = {pair: len(images) + i for i, pair in enumerate(pairs)}
+        new_images = tuple(tuple(images[p][y] for y in images[q]) for p, q in pairs)
+        new_sections = tuple(
+            tuple(local[s] if self.cls[s] < 0 else self.cls[s] for s in self.successors(pair)) for pair in pairs
+        )
+        color, _, self.tables = _quotient((images + new_images, sections + new_sections))
+        for pair in pairs:
+            self.cls[pair] = color[local[pair]]
+
+
 def compute_nucleus(
     gens: Sequence[StateRef], max_elements: int = 10000, max_depth: int = 20
 ) -> NucleusResult:
-    """Closure computation of the nucleus, bounded by max_elements and max_depth."""
+    """The nucleus of the generated group, bounded by max_elements and max_depth.
+
+    Members start as the recurrent sections of S: the identity, the
+    generators and their inverses. The recurrent sections of a product l r
+    of members are the pairs behind a cycle of the pair graph below (l, r),
+    so the closure explores pairs of members in the order the members
+    joined, about one pool's worth of new pairs per batch, interns the
+    batch's newly recurrent pairs as members, and stops as soon as there are
+    more than max_elements. The certificate interns every pair below
+    (S u N)^2; a pair inside N needs level 0, any other pair and every root
+    one level more than its successors need. A need above max_depth, or a
+    cycle of pairs outside N, is bound-exceeded.
+    """
     if not gens:
         raise ValueError("need at least one generator")
     k = gens[0].automaton.alphabet.size
     named = canonical_generators(gens)
-    seeds: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
-    symmetric: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
-    for _, el in named:
-        symmetric.setdefault(el)
-        symmetric.setdefault(el.inverse())
-    for el in symmetric:
-        for s in recurrent_sections(el):
-            seeds.setdefault(s)
-
-    members: dict[CanonicalElement, None] = dict(seeds)
-    frontier = list(members)
     gen_elements = tuple(named)
-    while frontier:
-        new: list[CanonicalElement] = []
-        existing = list(members)
-        frontier_set = set(frontier)
-        pair_iter = itertools.chain(
-            itertools.product(existing, frontier),
-            itertools.product(frontier, [e for e in existing if e not in frontier_set]),
-        )
-        for left, right in pair_iter:
-            for s in recurrent_sections(left * right):
-                if s not in members:
-                    members[s] = None
-                    new.append(s)
-                    if len(members) > max_elements:
-                        return NucleusResult(
-                            "bound-exceeded", None, None, max_elements, max_depth,
-                            witness_count=len(members), reason="elements",
-                            gen_elements=gen_elements,
-                        )
-        frontier = new
+    pool = _Pool([CanonicalElement.identity(k), *(g for _, el in named for g in (el, el.inverse()))])
+    # every pool state is a section of S, so the recurrent ones are S's recurrent sections
+    members = _recurrent(pool.tables[1])
+    member_set = set(members)
 
-    elements = tuple(sorted(members, key=lambda e: e.sort_key))
-    element_set = set(elements)
+    todo: list[tuple[int, int]] = []
+    batch: list[tuple[int, int]] = []
+    i = 0
+    while todo or i < len(members):
+        if not todo:
+            c = members[i]
+            todo = [*((d, c) for d in members[:i]), *((c, d) for d in members[:i]), (c, c)]
+            i += 1
+        batch += pool.explore([todo.pop()])
+        if len(batch) < len(pool.tables[0]) and (todo or i < len(members)):
+            continue
+        # older pairs never lead to new ones, so a cycle through a new pair lies in
+        # the batch, and what newly lies behind a cycle is reachable from those
+        number = {pair: n for n, pair in enumerate(batch)}
+        cycles = _recurrent([[number[s] for s in pool.successors(pair) if s in number] for pair in batch])
+        fresh = [batch[n] for n in cycles]
+        seen = set(fresh)
+        for pair in fresh:
+            for s in pool.successors(pair):
+                if pool.cls[s] < 0 and s not in seen:
+                    seen.add(s)
+                    fresh.append(s)
+        pool.intern(fresh)
+        batch = []
+        # members join one at a time, and the one that passes the bound is the witness
+        bound = max(len(members), max_elements)
+        for pair in fresh:
+            if pool.cls[pair] not in member_set:
+                member_set.add(pool.cls[pair])
+                members.append(pool.cls[pair])
+        if len(members) > bound:
+            return NucleusResult(
+                "bound-exceeded", None, None, max_elements, max_depth,
+                witness_count=bound + 1, reason="elements",
+                gen_elements=gen_elements,
+            )
 
-    # least k with (S u N)^2 restricted to words of length k inside N
-    pool: dict[CanonicalElement, None] = {}
-    for el in symmetric:
-        pool.setdefault(el)
-    for el in elements:
-        pool.setdefault(el)
+    elements = tuple(sorted((_bfs_root(pool.tables, m) for m in members), key=lambda e: e.sort_key))
+
+    ids = list(dict.fromkeys([*pool.ids, *members]))
+    roots = [(p, q) for p in ids for q in ids]
+    pool.explore(roots)
+    pool.intern([pair for pair, c in pool.cls.items() if c < 0])
+    # need[pair]: the least level below the pair at which every section is in N
+    need = {pair: 0 for pair, c in pool.cls.items() if c in member_set}
+    rest = [pair for pair in pool.cls if pair not in need]
+    for level in range(1, max_depth):
+        done = [pair for pair in rest if all(s in need for s in pool.successors(pair))]
+        if not done:
+            break
+        need.update(dict.fromkeys(done, level))
+        rest = [pair for pair in rest if pair not in need]
     depth = 1
-    for left, right in itertools.product(pool, repeat=2):
-        prod = left * right
-        # membership only of the states the walk reaches, each tested once
-        inside = functools.cache(lambda i: prod.state_element(i) in element_set)
-        level = {0}
-        d = 0
-        while True:
-            level = {prod.sections[i][x] for i in level for x in range(prod.k)}
-            d += 1
-            if all(inside(i) for i in level):
-                break
-            if d >= max_depth:
-                return NucleusResult(
-                    "bound-exceeded", None, None, max_elements, max_depth,
-                    witness_count=len(elements), reason="depth",
-                    gen_elements=gen_elements,
-                )
-        depth = max(depth, d)
+    for root in roots:
+        below = [need.get(s) for s in pool.successors(root)]
+        if None in below:
+            return NucleusResult(
+                "bound-exceeded", None, None, max_elements, max_depth,
+                witness_count=len(elements), reason="depth",
+                gen_elements=gen_elements,
+            )
+        depth = max(depth, 1 + max(below))
     return NucleusResult(
         "contracting", elements, depth, max_elements, max_depth,
         gen_elements=gen_elements,

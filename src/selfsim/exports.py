@@ -95,13 +95,17 @@ def _matrix_text(graph, root: int | None) -> str:
     dim = graph.vertex_count
     if dim > MATRIX_LIMIT:
         raise ResourceCapError(f"dense matrix export limited to {MATRIX_LIMIT} vertices, got {dim}")
-    cells: dict[tuple[int, int], list[str]] = {}
+    cells: list[dict[int, list[str]]] = [{} for _ in range(dim)]
     for src, dst, gen in _rows(graph):
-        cells.setdefault((src, dst), []).append(gen)
-    grid = [["0"] * dim for _ in range(dim)]
-    for (i, j), gens in cells.items():
-        grid[i][j] = "+".join(gens)
-    return "".join(",".join(row) + "\n" for row in grid)
+        cells[src].setdefault(dst, []).append(gen)
+    # one row of cell strings at a time: the dense grid would hold dim^2 of them
+    lines = []
+    for row_cells in cells:
+        row = ["0"] * dim
+        for j, gens in row_cells.items():
+            row[j] = "+".join(gens)
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
 
 
 _WRITERS = {

@@ -1,14 +1,23 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here is deliberately naive: direct interpretation of recursion
-documents, union-find over explicit edge lists, and path search by plain
-memoized recursion. No code is shared with the library's vectorized or
-closure-based implementations.
+documents, union-find over explicit edge lists, path search by plain
+memoized recursion, and the nucleus closure as one canonical product per
+pair of elements. No code is shared with the library's vectorized, peeled
+or pooled implementations.
 """
 
+import functools
+import itertools
 from itertools import product
 
-from selfsim import RecursionDocument
+from selfsim import (
+    CanonicalElement,
+    NucleusResult,
+    RecursionDocument,
+    canonical_generators,
+    recurrent_sections,
+)
 
 
 def doc_act(doc: RecursionDocument, state: str, letters) -> tuple[int, ...]:
@@ -171,3 +180,83 @@ def recurrent_nodes(successors) -> list[int]:
         if length >= n:
             found |= ends
     return sorted(found)
+
+
+def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) -> NucleusResult:
+    """The nucleus closure and its depth certificate, one canonical product per pair.
+
+    Seeds are the recurrent sections of the identity, the generators and
+    their inverses; every round folds in the recurrent sections of all
+    products of two members until nothing new appears or max_elements is
+    passed. The certificate multiplies every pair of S u N and walks each
+    product level by level until all its states are inside N.
+    """
+    if not gens:
+        raise ValueError("need at least one generator")
+    k = gens[0].automaton.alphabet.size
+    named = canonical_generators(gens)
+    seeds: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
+    symmetric: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
+    for _, el in named:
+        symmetric.setdefault(el)
+        symmetric.setdefault(el.inverse())
+    for el in symmetric:
+        for s in recurrent_sections(el):
+            seeds.setdefault(s)
+
+    members: dict[CanonicalElement, None] = dict(seeds)
+    frontier = list(members)
+    gen_elements = tuple(named)
+    while frontier:
+        new: list[CanonicalElement] = []
+        existing = list(members)
+        frontier_set = set(frontier)
+        pair_iter = itertools.chain(
+            itertools.product(existing, frontier),
+            itertools.product(frontier, [e for e in existing if e not in frontier_set]),
+        )
+        for left, right in pair_iter:
+            for s in recurrent_sections(left * right):
+                if s not in members:
+                    members[s] = None
+                    new.append(s)
+                    if len(members) > max_elements:
+                        return NucleusResult(
+                            "bound-exceeded", None, None, max_elements, max_depth,
+                            witness_count=len(members), reason="elements",
+                            gen_elements=gen_elements,
+                        )
+        frontier = new
+
+    elements = tuple(sorted(members, key=lambda e: e.sort_key))
+    element_set = set(elements)
+
+    # least k with (S u N)^2 restricted to words of length k inside N
+    pool: dict[CanonicalElement, None] = {}
+    for el in symmetric:
+        pool.setdefault(el)
+    for el in elements:
+        pool.setdefault(el)
+    depth = 1
+    for left, right in itertools.product(pool, repeat=2):
+        prod = left * right
+        # membership only of the states the walk reaches, each tested once
+        inside = functools.cache(lambda i: prod.state_element(i) in element_set)
+        level = {0}
+        d = 0
+        while True:
+            level = {prod.sections[i][x] for i in level for x in range(prod.k)}
+            d += 1
+            if all(inside(i) for i in level):
+                break
+            if d >= max_depth:
+                return NucleusResult(
+                    "bound-exceeded", None, None, max_elements, max_depth,
+                    witness_count=len(elements), reason="depth",
+                    gen_elements=gen_elements,
+                )
+        depth = max(depth, d)
+    return NucleusResult(
+        "contracting", elements, depth, max_elements, max_depth,
+        gen_elements=gen_elements,
+    )

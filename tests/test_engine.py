@@ -25,7 +25,7 @@ from selfsim import (
     to_automaton,
 )
 
-from ._oracles import doc_act, recurrent_nodes, word_act, words_upto
+from ._oracles import doc_act, nucleus_by_products, recurrent_nodes, word_act, words_upto
 
 
 def _load(key):
@@ -281,13 +281,15 @@ def test_nucleus_depth_is_least():
 
 
 def test_nucleus_bound_exceeded_elements():
-    _, _, gens = _load("lamplighter")
-    res = compute_nucleus(gens, max_elements=50, max_depth=20)
-    assert not res.is_contracting
-    assert res.verdict == "bound-exceeded"
-    assert res.reason == "elements"
-    assert res.elements is None
-    assert res.witness_count > 50
+    # the witness is the member that passes the bound, however many join with it
+    for key, bound in (("lamplighter", 50), ("aleshin", 40), ("long-range", 30)):
+        _, _, gens = _load(key)
+        res = compute_nucleus(gens, max_elements=bound, max_depth=20)
+        assert not res.is_contracting
+        assert res.verdict == "bound-exceeded"
+        assert res.reason == "elements"
+        assert res.elements is None
+        assert res.witness_count == bound + 1
 
 
 def test_nucleus_bound_exceeded_depth():
@@ -352,6 +354,51 @@ def _random_document(rng):
         for name in names
     )
     return RecursionDocument(k, states, tuple(names))
+
+
+def _random_bounded_document(rng):
+    # every state has at most one section besides the identity: bounded, so contracting
+    k = rng.choice((2, 3))
+    names = [f"s{i}" for i in range(rng.randint(1, 3))]
+    states = [StateDef("e", Permutation(tuple(range(k))), ("e",) * k)]
+    for name in names:
+        row = ["e"] * k
+        row[rng.randrange(k)] = rng.choice(names)
+        states.append(StateDef(name, Permutation(tuple(rng.sample(range(k), k))), tuple(row)))
+    return RecursionDocument(k, tuple(states), tuple(names))
+
+
+def test_nucleus_matches_product_oracle_on_generated_automata():
+    rng = random.Random(20)
+    outcomes = set()
+    for t in range(60):
+        doc = (_random_document if t % 2 else _random_bounded_document)(rng)
+        _, gens = to_automaton(doc)
+        bound, depth = rng.choice((3, 6, 12, 24)), rng.choice((1, 2, 3, 8))
+        res = compute_nucleus(gens, bound, depth)
+        ref = nucleus_by_products(gens, bound, depth)
+        assert (res.verdict, res.reason, res.elements, res.depth, res.witness_count) == (
+            ref.verdict, ref.reason, ref.elements, ref.depth, ref.witness_count
+        )
+        outcomes.add(res.reason)
+        if res.is_contracting:
+            nuc = set(res.elements)
+            pool = nuc | {el for _, g in res.gen_elements for el in (g, g.inverse())}
+            for left, right in product(pool, repeat=2):
+                prod = left * right
+                for w in product(range(doc.alphabet_size), repeat=res.depth):
+                    assert prod.section(w) in nuc
+            if res.depth > 1:
+                shallow = compute_nucleus(gens, bound, res.depth - 1)
+                assert (shallow.verdict, shallow.reason) == ("bound-exceeded", "depth")
+                outcomes.add(shallow.reason)
+        elif res.reason == "elements":
+            wider = compute_nucleus(gens, 2 * bound, depth)
+            assert not wider.is_contracting or len(wider.elements) > bound
+        else:
+            deeper = compute_nucleus(gens, bound, 2 * depth)
+            assert not deeper.is_contracting or deeper.depth > depth
+    assert outcomes == {None, "elements", "depth"}
 
 
 def test_table_kernel_against_oracles_on_generated_automata():
