@@ -16,14 +16,16 @@ product the rightmost factor acts first, and sections obey
 The operations on raw automaton tables (product, quotient, inverse rows,
 breadth-first reachability and the recurrent-node peel) are written once
 here and shared with the engine's canonical elements, the Schreier level
-tables and the boundary-point equivalence graphs.
+tables and the boundary-point equivalence graphs. Breadth-first
+reachability takes a successor function, so it walks table states, pairs
+of pool states and state-set nodes alike: any hashable node will do.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 
 # (images, sections): images[i] is the output image row of state i and
@@ -32,21 +34,27 @@ Tables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 def word(letters: Sequence[int] | str) -> tuple[int, ...]:
-    """Coerce a word given as a digit string ("011") or int sequence to a tuple."""
+    """Coerce a word given as text or an int sequence to a tuple.
+
+    Text is one digit per letter ("011"), or with any dot, dot-separated
+    letters with empty pieces ignored ("1.10", "10.").
+    """
     if isinstance(letters, str):
-        out = []
-        for ch in letters:
-            if not ch.isdigit():
-                raise ValueError(f"not a letter: {ch!r}")
-            out.append(int(ch))
-        return tuple(out)
+        pieces = [x for x in letters.split(".") if x] if "." in letters else letters
+        for x in pieces:
+            if not x.isdigit():
+                raise ValueError(f"not a letter: {x!r}")
+        return tuple(int(x) for x in pieces)
     return tuple(int(x) for x in letters)
 
 
 def word_str(w: Sequence[int]) -> str:
-    """Render a word as a digit string; letters above 9 are dot separated."""
+    """Render a word as word() reads it: digits, or dot separated once a letter exceeds 9.
+
+    A lone letter above 9 keeps a trailing dot ("10.") so that it does not read as two.
+    """
     if any(x > 9 for x in w):
-        return ".".join(str(x) for x in w)
+        return ".".join(str(x) for x in w) + ("." if len(w) == 1 else "")
     return "".join(str(x) for x in w)
 
 
@@ -293,6 +301,8 @@ def _product_tables(
     component touches the input word first, and sections follow the product
     rule componentwise. Tuples are numbered in discovery order, roots first.
     """
+    # discovery is its own loop, not _reachable: a tuple's successors are found in the
+    # same pass that builds its rows, and a separate walk would compute them twice
     # tuples are keyed last position first, the order in which the action reads them
     back = factors[::-1]
     order = [t[::-1] for t in dict.fromkeys(roots)]
@@ -335,13 +345,16 @@ def _quotient(tables: Tables) -> tuple[list[int], list[int], Tables]:
 
 
 def _reachable(
-    sections: Sequence[Sequence[int]], roots: Iterable[int]
-) -> tuple[list[int], dict[int, int]]:
-    """States reachable from roots in breadth-first order, and each state's place in it."""
+    successors: Callable[[Hashable], Iterable[Hashable]], roots: Iterable[Hashable]
+) -> tuple[list, dict]:
+    """Nodes reachable from roots in breadth-first order, and each node's place in it.
+
+    On a table, successors is sections.__getitem__.
+    """
     order = list(dict.fromkeys(roots))
     number = {q: i for i, q in enumerate(order)}
     for q in order:
-        for j in sections[q]:
+        for j in successors(q):
             if j not in number:
                 number[j] = len(order)
                 order.append(j)

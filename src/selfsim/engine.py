@@ -17,8 +17,8 @@ element it meets as one state of a pool, a single table of pairwise
 distinct elements, so an element is an int and a product of two is a node
 of the pool's pair graph. Recurrent sections of products are the pairs
 behind a cycle of that graph, and each pair is interned once, by one
-quotient of the pool with the new pairs; the depth certificate reads the
-same pairs.
+quotient of the pool with the new pairs; the depth certificate walks the
+pool states below the interned root pairs.
 
 The table operations behind canonical elements live in selfsim.core.
 """
@@ -47,7 +47,7 @@ from .core import (
 def _bfs_root(tables: Tables, root: int) -> "CanonicalElement":
     """Renumber the part reachable from root in breadth-first order."""
     images, sections = tables
-    order, number = _reachable(sections, [root])
+    order, number = _reachable(sections.__getitem__, [root])
     return CanonicalElement(
         len(images[0]),
         tuple(images[i] for i in order),
@@ -126,7 +126,8 @@ class CanonicalElement:
         return _canonical(product, 0)
 
     def inverse(self) -> "CanonicalElement":
-        return _canonical(_inverse_rows((self.perms, self.sections)), 0)
+        # the inverse rows of a minimal reachable table are minimal and reachable too
+        return _bfs_root(_inverse_rows((self.perms, self.sections)), 0)
 
     def __pow__(self, n: int) -> "CanonicalElement":
         if n == 0:
@@ -305,13 +306,11 @@ class _Pool:
 
     def explore(self, roots: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         """The pairs reachable from roots that were not met before, breadth first."""
-        new = [root for root in dict.fromkeys(roots) if root not in self.cls]
+        new, _ = _reachable(
+            lambda pair: [s for s in self.successors(pair) if s not in self.cls],
+            [root for root in roots if root not in self.cls],
+        )
         self.cls.update(dict.fromkeys(new, -1))
-        for pair in new:
-            for nxt in self.successors(pair):
-                if nxt not in self.cls:
-                    self.cls[nxt] = -1
-                    new.append(nxt)
         return new
 
     def intern(self, pairs: Sequence[tuple[int, int]]) -> None:
@@ -345,9 +344,10 @@ def compute_nucleus(
     joined, about one pool's worth of new pairs per batch, interns the
     batch's newly recurrent pairs as members, and stops as soon as there are
     more than max_elements. The certificate interns every pair below
-    (S u N)^2; a pair inside N needs level 0, any other pair and every root
-    one level more than its successors need. A need above max_depth, or a
-    cycle of pairs outside N, is bound-exceeded.
+    (S u N)^2 and walks the pool states below them: a state in N needs
+    level 0, any other state and every root one level more than its
+    sections need. A need above max_depth, or a cycle of states outside N,
+    is bound-exceeded.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -374,13 +374,9 @@ def compute_nucleus(
         # the batch, and what newly lies behind a cycle is reachable from those
         number = {pair: n for n, pair in enumerate(batch)}
         cycles = _recurrent([[number[s] for s in pool.successors(pair) if s in number] for pair in batch])
-        fresh = [batch[n] for n in cycles]
-        seen = set(fresh)
-        for pair in fresh:
-            for s in pool.successors(pair):
-                if pool.cls[s] < 0 and s not in seen:
-                    seen.add(s)
-                    fresh.append(s)
+        fresh, _ = _reachable(
+            lambda pair: [s for s in pool.successors(pair) if pool.cls[s] < 0], [batch[n] for n in cycles]
+        )
         pool.intern(fresh)
         batch = []
         # members join one at a time, and the one that passes the bound is the witness
@@ -402,18 +398,21 @@ def compute_nucleus(
     roots = [(p, q) for p in ids for q in ids]
     pool.explore(roots)
     pool.intern([pair for pair, c in pool.cls.items() if c < 0])
-    # need[pair]: the least level below the pair at which every section is in N
-    need = {pair: 0 for pair, c in pool.cls.items() if c in member_set}
-    rest = [pair for pair in pool.cls if pair not in need]
+    sections = pool.tables[1]
+    tops = list(dict.fromkeys(pool.cls[root] for root in roots))
+    states, _ = _reachable(sections.__getitem__, tops)
+    # need[s]: the least level below state s at which every section is in N
+    need = {s: 0 for s in states if s in member_set}
+    rest = [s for s in states if s not in need]
     for level in range(1, max_depth):
-        done = [pair for pair in rest if all(s in need for s in pool.successors(pair))]
+        done = [s for s in rest if all(t in need for t in sections[s])]
         if not done:
             break
         need.update(dict.fromkeys(done, level))
-        rest = [pair for pair in rest if pair not in need]
+        rest = [s for s in rest if s not in need]
     depth = 1
-    for root in roots:
-        below = [need.get(s) for s in pool.successors(root)]
+    for top in tops:
+        below = [need.get(t) for t in sections[top]]
         if None in below:
             return NucleusResult(
                 "bound-exceeded", None, None, max_elements, max_depth,
@@ -452,7 +451,7 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     k = aut.alphabet.size
     perms = [aut.perms[g.index] for g in gens]
     moves = [[p(x) for p in perms] + [p.inverse()(x) for p in perms] for x in range(k)]
-    if len(_reachable(moves, [0])[0]) < k:
+    if len(_reachable(moves.__getitem__, [0])[0]) < k:
         return RecurrenceVerdict("false")
 
     targets = {canonical_state(g) for g in gens}
@@ -463,6 +462,7 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
         step.extend([el, el.inverse()])
     ball: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
     frontier_elems = [CanonicalElement.identity(k)]
+    # its own loop, not _reachable: the ball stops at max_word_length and the search at the first proof
     for _ in range(max_word_length):
         new_elems: list[CanonicalElement] = []
         for e in frontier_elems:

@@ -13,6 +13,7 @@ exactly on a finite product graph (nucleus state, period phase).
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -20,18 +21,12 @@ from math import lcm
 
 import numpy as np
 
-from .core import _recurrent, word, word_str
+from .core import _reachable, _recurrent, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
 
 _POINT = re.compile(r"^\s*(\S+)\^w(?:\s+(\S+))?\s*$")
-
-
-def _parse_word_text(text: str) -> tuple[int, ...]:
-    if "." in text:
-        return word([int(part) for part in text.split(".")])
-    return word([int(ch) for ch in text])
 
 
 @dataclass(frozen=True)
@@ -63,12 +58,12 @@ class BoundaryPoint:
 
     @classmethod
     def parse(cls, text: str) -> "BoundaryPoint":
-        """Read the "PERIOD^w PREPERIOD" syntax, e.g. "10^w 0" for ...1010 0."""
+        """Read the "PERIOD^w PREPERIOD" syntax, e.g. "10^w 0" for ...1010 0; words as in word()."""
         m = _POINT.match(text)
         if not m:
             raise ValueError(f"boundary point must look like PERIOD^w [PREPERIOD], got {text!r}")
-        per = tuple(reversed(_parse_word_text(m.group(1))))
-        pre = tuple(reversed(_parse_word_text(m.group(2)))) if m.group(2) else ()
+        per = tuple(reversed(word(m.group(1))))
+        pre = tuple(reversed(word(m.group(2)))) if m.group(2) else ()
         return cls(pre, per)
 
     def __str__(self) -> str:
@@ -231,44 +226,21 @@ def equivalence_class(nucleus: NucleusResult, p: BoundaryPoint) -> set[BoundaryP
     m = len(p.preperiod)
     period = len(p.period)
 
-    # The downward constraint is membership of the section in the previous
-    # set, so the recurrence threads one state set forward at a time.
-    def advance(states: frozenset, x: int, y: int) -> frozenset:
-        return frozenset(s for s in range(nstates) if out[s][x] == y and sec[s][x] in states)
-
-    # Node ("pre", i, A): A is the valid-state set after tree level i <= m.
-    # Node ("cyc", j, A): the same at a level past the preperiod with phase j.
-    def letter_after(node) -> int:
-        kind, pos, _ = node
-        if kind == "pre":
-            return p.preperiod[pos] if pos < m else p.period[0]
-        return p.period[(pos + 1) % period]
-
-    def successor_key(node):
-        kind, pos, _ = node
-        if kind == "pre" and pos < m:
-            return ("pre", pos + 1)
-        if kind == "pre":
-            return ("cyc", 0)
-        return ("cyc", (pos + 1) % period)
+    # Node (i, A): A is the valid-state set after tree level i. Levels past the
+    # preperiod only matter by phase, so level m + period is followed by m + 1.
+    # The downward constraint is membership of the section in the previous set,
+    # so the recurrence threads one state set forward at a time.
+    @functools.cache
+    def arrows(node) -> dict:
+        i, states = node
+        x = p.letter(i + 1)
+        nxt = i + 1 if i < m + period else m + 1
+        sets = [frozenset(s for s in range(nstates) if out[s][x] == y and sec[s][x] in states) for y in range(k)]
+        return {y: (nxt, a) for y, a in enumerate(sets) if a}
 
     # Nodes are numbered in discovery order; edges[i] lists (label, successor).
-    nodes = [("pre", 0, frozenset(range(nstates)))]
-    number = {nodes[0]: 0}
-    edges = []
-    for node in nodes:
-        x = letter_after(node)
-        nkind, npos = successor_key(node)
-        succs = []
-        for y in range(k):
-            nxt_states = advance(node[2], x, y)
-            if nxt_states:
-                nxt = (nkind, npos, nxt_states)
-                if nxt not in number:
-                    number[nxt] = len(nodes)
-                    nodes.append(nxt)
-                succs.append((y, number[nxt]))
-        edges.append(succs)
+    nodes, number = _reachable(lambda node: arrows(node).values(), [(0, frozenset(range(nstates)))])
+    edges = [[(y, number[nxt]) for y, nxt in arrows(node).items()] for node in nodes]
 
     # Live nodes start an infinite path: they lie behind a cycle of the
     # reversed graph.

@@ -50,7 +50,7 @@ def _check_cap(count: int, vertex_cap: int | None) -> None:
 def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> dict[int, np.ndarray]:
     """Image arrays on level n for the given states and all their sections."""
     k = aut.alphabet.size
-    needed, _ = _reachable(aut.sections, indices)
+    needed, _ = _reachable(aut.sections.__getitem__, indices)
     size = k**n
     dtype = np.int32 if size <= 2**31 - 1 else np.int64
     tables = {i: np.zeros(1, dtype=dtype) for i in needed}
@@ -237,7 +237,7 @@ def pointed_component(
 
 def _orbit_code(successors: list[list[int]], root: int) -> tuple:
     """Breadth-first encoding of the forward orbit of root; canonical per rooted orbit."""
-    order, number = _reachable(successors, [root])
+    order, number = _reachable(successors.__getitem__, [root])
     return (len(order), tuple(number[t] for v in order for t in successors[v]))
 
 

@@ -16,7 +16,6 @@ from selfsim import (
     NucleusResult,
     RecursionDocument,
     canonical_generators,
-    recurrent_sections,
 )
 
 
@@ -201,8 +200,8 @@ def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) ->
         symmetric.setdefault(el)
         symmetric.setdefault(el.inverse())
     for el in symmetric:
-        for s in recurrent_sections(el):
-            seeds.setdefault(s)
+        for j in recurrent_nodes(el.sections):
+            seeds.setdefault(el.state_element(j))
 
     members: dict[CanonicalElement, None] = dict(seeds)
     frontier = list(members)
@@ -216,7 +215,8 @@ def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) ->
             itertools.product(frontier, [e for e in existing if e not in frontier_set]),
         )
         for left, right in pair_iter:
-            for s in recurrent_sections(left * right):
+            prod = left * right
+            for s in map(prod.state_element, recurrent_nodes(prod.sections)):
                 if s not in members:
                     members[s] = None
                     new.append(s)

@@ -41,6 +41,21 @@ def test_word_accepts_strings_and_sequences():
     assert word_str(()) == ""
 
 
+def test_word_dotted_notation_round_trips():
+    assert word("1.10") == (1, 10)
+    assert word("10.") == (10,)
+    assert word("0..3.") == (0, 3)
+    assert word_str((10,)) == "10."
+    assert word_str((1, 10)) == "1.10"
+    rng = random.Random(9)
+    for k in (11, 16):
+        for n in range(5):
+            w = tuple(rng.randrange(k) for _ in range(n))
+            assert word(word_str(w)) == w
+    with pytest.raises(ValueError):
+        word("1.a")
+
+
 def test_word_rejects_non_digits():
     with pytest.raises(ValueError):
         word("0a1")

@@ -24,6 +24,8 @@ from selfsim import (
     recurrent_sections,
     to_automaton,
 )
+from selfsim.core import _inverse_rows
+from selfsim.engine import _canonical
 
 from ._oracles import doc_act, nucleus_by_products, recurrent_nodes, word_act, words_upto
 
@@ -418,6 +420,8 @@ def test_table_kernel_against_oracles_on_generated_automata():
             assert cw.act(v) == word_act(doc, factors, v)
         assert canonicalize(u * w) == canonicalize(u) * cw
         assert canonicalize(w.inverse()) == cw.inverse()
+        assert cw.inverse() == _canonical(_inverse_rows((cw.perms, cw.sections)), 0)
+        assert cw.inverse().inverse() == cw
         expected = dict.fromkeys(cw.state_element(j) for j in recurrent_nodes(cw.sections))
         assert recurrent_sections(cw) == list(expected)
 

@@ -69,7 +69,10 @@ def test_point_canonical_absorbs_period_tail():
 
 
 def test_point_parse_and_str_round_trip():
-    for text in ("0^w", "1^w", "10^w", "0^w 10", "01^w 1101"):
+    for text in (
+        "0^w", "1^w", "10^w", "0^w 10", "01^w 1101",
+        "10.^w", "10.^w 3", "1.10^w 10.", "3^w 2.10", "15.^w 0.13.2", "2.15.7^w 11.",
+    ):
         p = BoundaryPoint.parse(text)
         assert str(p) == text
         assert BoundaryPoint.parse(str(p)) == p

@@ -75,6 +75,15 @@ def test_spectrum_deterministic():
     assert (a == b).all()
 
 
+def test_spectrum_rejects_non_symmetric_operator(monkeypatch):
+    import selfsim.spectra
+
+    skewed = np.array([[0.5, 0.5], [0.25, 0.75]])
+    monkeypatch.setattr(selfsim.spectra, "markov_operator", lambda graph: skewed)
+    with pytest.raises(ValueError, match="not symmetric"):
+        spectrum(_graph("basilica", 1))
+
+
 def test_dense_limit_enforced():
     with pytest.raises(ResourceCapError):
         spectrum(_graph("basilica", 13))
