@@ -585,13 +585,9 @@ def check_entry(entry: CatalogEntry) -> list[tuple[str, bool]]:
         elif kind == "contracting":
             size, max_el, max_d = prop[1], prop[2], prop[3]
             res = compute_nucleus(gens, max_elements=max_el, max_depth=max_d)
-            if size is None:
-                ok = res.is_contracting
-                results.append(("contracting under bounds", ok))
-            else:
-                ok = res.is_contracting and len(res.elements) == size
-                found = len(res.elements) if res.is_contracting else "bound exceeded"
-                results.append((f"nucleus has {size} elements (found {found})", ok))
+            ok = res.is_contracting and len(res.elements) == size
+            found = len(res.elements) if res.is_contracting else "bound exceeded"
+            results.append((f"nucleus has {size} elements (found {found})", ok))
         elif kind == "not_contracting_within":
             max_el, max_d = prop[1], prop[2]
             res = compute_nucleus(gens, max_elements=max_el, max_depth=max_d)

@@ -242,36 +242,34 @@ class StateRef:
 def act_letter(state: StateRef, x: int) -> tuple[int, StateRef]:
     """One step of the action: returns (output letter, section at x)."""
     aut = state.automaton
-    if not 0 <= x < aut.alphabet.size:
-        raise ValueError(f"letter {x} out of range for alphabet of size {aut.alphabet.size}")
-    y = aut.perms[state.index](x)
-    return y, StateRef(aut, aut.sections[state.index][x])
+    (y,), i = _walk(_tables(aut), state.index, aut.alphabet.check_word((x,)))
+    return y, StateRef(aut, i)
 
 
 def act_word(state: StateRef, letters: Sequence[int] | str) -> tuple[int, ...]:
     """Image of a word under the state's tree action."""
     aut = state.automaton
-    w = aut.alphabet.check_word(letters)
-    out = []
-    i = state.index
-    for x in w:
-        out.append(aut.perms[i](x))
-        i = aut.sections[i][x]
-    return tuple(out)
+    return _walk(_tables(aut), state.index, aut.alphabet.check_word(letters))[0]
 
 
 def section_word(state: StateRef, letters: Sequence[int] | str) -> StateRef:
     """Section of the state at a word: q|_(x v) = (q|_x)|_v."""
     aut = state.automaton
-    w = aut.alphabet.check_word(letters)
-    i = state.index
-    for x in w:
-        i = aut.sections[i][x]
-    return StateRef(aut, i)
+    return StateRef(aut, _walk(_tables(aut), state.index, aut.alphabet.check_word(letters))[1])
 
 
 def _tables(aut: MealyAutomaton) -> Tables:
     return tuple(p.images for p in aut.perms), aut.sections
+
+
+def _walk(tables: Tables, i: int, w: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """The image of the word w under state i, and the state below it: i's section at w."""
+    images, sections = tables
+    out = []
+    for x in w:
+        out.append(images[i][x])
+        i = sections[i][x]
+    return tuple(out), i
 
 
 def _inverse_rows(tables: Tables) -> Tables:

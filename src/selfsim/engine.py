@@ -18,7 +18,9 @@ distinct elements, so an element is an int and a product of two is a node
 of the pool's pair graph. Recurrent sections of products are the pairs
 behind a cycle of that graph, and each pair is interned once, by one
 quotient of the pool with the new pairs; the depth certificate walks the
-pool states below the interned root pairs.
+pool states below the interned root pairs. The recurrence test searches its
+ball of words on a pool too, so every search over products of elements runs
+on pool states and none canonicalizes a product on its own.
 
 The table operations behind canonical elements live in selfsim.core.
 """
@@ -40,6 +42,7 @@ from .core import (
     _reachable,
     _recurrent,
     _tables,
+    _walk,
     invert,
 )
 
@@ -97,20 +100,11 @@ class CanonicalElement:
         return (self.size, self.perms, self.sections)
 
     def act(self, letters: Sequence[int] | str) -> tuple[int, ...]:
-        w = Alphabet(self.k).check_word(letters)
-        out = []
-        i = 0
-        for x in w:
-            out.append(self.perms[i][x])
-            i = self.sections[i][x]
-        return tuple(out)
+        return _walk((self.perms, self.sections), 0, Alphabet(self.k).check_word(letters))[0]
 
     def section(self, letters: Sequence[int] | str) -> "CanonicalElement":
-        w = Alphabet(self.k).check_word(letters)
-        i = 0
-        for x in w:
-            i = self.sections[i][x]
-        return _bfs_root((self.perms, self.sections), i)
+        tables = (self.perms, self.sections)
+        return _bfs_root(tables, _walk(tables, 0, Alphabet(self.k).check_word(letters))[1])
 
     def state_element(self, i: int) -> "CanonicalElement":
         """The element represented by internal state i."""
@@ -304,6 +298,11 @@ class _Pool:
         p, q = pair
         return [(sections[p][y], sections[q][x]) for x, y in enumerate(images[q])]
 
+    @classmethod
+    def seeded(cls, named: Sequence[tuple[str, CanonicalElement]], k: int) -> "_Pool":
+        """The pool of the identity, then each generator and its inverse: ids in that order."""
+        return cls([CanonicalElement.identity(k), *(g for _, el in named for g in (el, el.inverse()))])
+
     def explore(self, roots: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         """The pairs reachable from roots that were not met before, breadth first."""
         new, _ = _reachable(
@@ -331,6 +330,11 @@ class _Pool:
         for pair in pairs:
             self.cls[pair] = color[local[pair]]
 
+    def add(self, roots: Iterable[tuple[int, int]]) -> None:
+        """Explore from roots, then place every pair met and not placed yet."""
+        self.explore(roots)
+        self.intern([pair for pair, c in self.cls.items() if c < 0])
+
 
 def compute_nucleus(
     gens: Sequence[StateRef], max_elements: int = 10000, max_depth: int = 20
@@ -354,7 +358,7 @@ def compute_nucleus(
     k = gens[0].automaton.alphabet.size
     named = canonical_generators(gens)
     gen_elements = tuple(named)
-    pool = _Pool([CanonicalElement.identity(k), *(g for _, el in named for g in (el, el.inverse()))])
+    pool = _Pool.seeded(named, k)
     # every pool state is a section of S, so the recurrent ones are S's recurrent sections
     members = _recurrent(pool.tables[1])
     member_set = set(members)
@@ -396,8 +400,7 @@ def compute_nucleus(
 
     ids = list(dict.fromkeys([*pool.ids, *members]))
     roots = [(p, q) for p in ids for q in ids]
-    pool.explore(roots)
-    pool.intern([pair for pair, c in pool.cls.items() if c < 0])
+    pool.add(roots)
     sections = pool.tables[1]
     tops = list(dict.fromkeys(pool.cls[root] for root in roots))
     states, _ = _reachable(sections.__getitem__, tops)
@@ -443,7 +446,10 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     Checks level-1 transitivity, then looks for words that stabilize letter 0
     whose sections at 0 hit every generator class. Finding all of them proves
     recurrence; a nontransitive level-1 action refutes it; otherwise the
-    verdict is inconclusive at the given word length bound.
+    verdict is inconclusive at the given word length bound. The ball of words
+    is a set of pool states, grown one word length at a time: the pairs of
+    the last length's new states with the generators and their inverses are
+    added to the pool at once, so no product is canonicalized on its own.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -454,29 +460,20 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     if len(_reachable(moves.__getitem__, [0])[0]) < k:
         return RecurrenceVerdict("false")
 
-    targets = {canonical_state(g) for g in gens}
-    found: set[CanonicalElement] = set()
-    step: list[CanonicalElement] = []
-    for g in gens:
-        el = canonical_state(g)
-        step.extend([el, el.inverse()])
-    ball: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
-    frontier_elems = [CanonicalElement.identity(k)]
-    # its own loop, not _reachable: the ball stops at max_word_length and the search at the first proof
+    pool = _Pool.seeded(canonical_generators(gens), k)
+    steps = pool.ids[1:]
+    targets = set(pool.ids[1::2])
+    found: set[int] = set()
+    frontier = [pool.ids[0]]
+    ball = set(frontier)
+    # its own loop, not _reachable: the ball stops at max_word_length and the search at the first proof,
+    # checked once per word length
     for _ in range(max_word_length):
-        new_elems: list[CanonicalElement] = []
-        for e in frontier_elems:
-            for s in step:
-                prod = e * s
-                if prod in ball:
-                    continue
-                ball[prod] = None
-                new_elems.append(prod)
-                if prod.act((0,)) == (0,):
-                    sec = prod.section((0,))
-                    if sec in targets:
-                        found.add(sec)
-                        if found == targets:
-                            return RecurrenceVerdict("true")
-        frontier_elems = new_elems
+        pool.add([(e, s) for e in frontier for s in steps])
+        images, sections = pool.tables
+        frontier = [c for c in dict.fromkeys(pool.cls[e, s] for e in frontier for s in steps) if c not in ball]
+        ball.update(frontier)
+        found.update(sections[c][0] for c in frontier if images[c][0] == 0)
+        if targets <= found:
+            return RecurrenceVerdict("true")
     return RecurrenceVerdict("inconclusive", max_word_length)

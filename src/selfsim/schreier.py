@@ -2,9 +2,11 @@
 
 Vertices of the level-n graph are the words of length n in lexicographic
 order, the leftmost letter most significant, labelled "011" (or "0.10.3",
-dots throughout, over more than 10 letters). Each generator s contributes
-one arrow v -> s(v) per vertex. Images are computed level by level as
-permutation arrays, so building a level is linear in |A|^n per state.
+dots throughout, over more than 10 letters; a level-1 letter above 9 is
+"10.", as word_str writes it, so that it does not read back as two
+letters). Each generator s contributes one arrow v -> s(v) per vertex.
+Images are computed level by level as permutation arrays, so building a
+level is linear in |A|^n per state.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Alphabet, MealyAutomaton, StateRef, _reachable, word
+from .core import Alphabet, MealyAutomaton, StateRef, _reachable, _tables, _walk, word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -70,16 +72,21 @@ def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> dict[i
 def _vertex_labels(k: int, n: int, vertices: Sequence[int] | None = None) -> tuple[str, ...]:
     """Labels of the level-n words in index order, or of the given vertices only.
 
-    Letters are dot separated throughout when k > 10. Labels of given vertices
-    are joined from two half-length tables, so no more than k^ceil(n/2) words
-    are labelled in full.
+    Letters are dot separated throughout when k > 10, and on level 1 a letter
+    above 9 keeps word_str's trailing dot ("10."), so no label reads back as
+    two letters. Labels of given vertices are joined from two half-length
+    tables, so no more than k^ceil(n/2) words are labelled in full.
     """
     sep = "." if k > 10 else ""
+    letters = [str(x) for x in range(k)]
     if vertices is not None and n > 1:
         half = k ** (n // 2)
-        hi, lo = _vertex_labels(k, n - n // 2), _vertex_labels(k, n // 2)
+        hi, lo = (tuple(map(sep.join, product(letters, repeat=m))) for m in (n - n // 2, n // 2))
         return tuple(hi[v // half] + sep + lo[v % half] for v in vertices)
-    labels = tuple(map(sep.join, product([str(x) for x in range(k)], repeat=n)))
+    if n == 1:
+        labels = tuple(word_str((x,)) for x in range(k))
+    else:
+        labels = tuple(map(sep.join, product(letters, repeat=n)))
     return labels if vertices is None else tuple(labels[v] for v in vertices)
 
 
@@ -277,17 +284,13 @@ def dual_moore_check(aut: MealyAutomaton, n: int) -> bool:
     schreier_images = [np.asarray(tables[i], dtype=np.int64) for i in range(len(aut))]
 
     alphabet = Alphabet(k)
+    rows = _tables(aut)
     dual_images = []
     for q in range(len(aut)):
         img = np.empty(total, dtype=np.int64)
         for v in range(total):
-            letters = alphabet.word_at(v, n)
-            state = q
-            out = []
-            for x in reversed(letters):
-                out.append(aut.perms[state](x))
-                state = aut.sections[state][x]
-            img[v] = alphabet.index_of(tuple(reversed(out)))
+            out, _ = _walk(rows, q, reversed(alphabet.word_at(v, n)))
+            img[v] = alphabet.index_of(out[::-1])
         dual_images.append(img)
 
     return _canonical_label_code(schreier_images, total) == _canonical_label_code(

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: direct interpretation of recursion
 documents, union-find over explicit edge lists, path search by plain
-memoized recursion, and the nucleus closure as one canonical product per
-pair of elements. No code is shared with the library's vectorized, peeled
-or pooled implementations.
+memoized recursion, the nucleus closure as one canonical product per pair
+of elements, and the recurrence test over a ball of canonical products. No
+code is shared with the library's vectorized, peeled or pooled
+implementations.
 """
 
 import functools
@@ -14,8 +15,10 @@ from itertools import product
 from selfsim import (
     CanonicalElement,
     NucleusResult,
+    RecurrenceVerdict,
     RecursionDocument,
     canonical_generators,
+    canonical_state,
 )
 
 
@@ -260,3 +263,45 @@ def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) ->
         "contracting", elements, depth, max_elements, max_depth,
         gen_elements=gen_elements,
     )
+
+
+def recurrence_by_products(gens, max_word_length: int = 8) -> RecurrenceVerdict:
+    """The recurrence test with one canonical product per element of the word ball.
+
+    Level-1 transitivity by union-find; then the words of length up to
+    max_word_length, formed one product at a time, are searched for elements
+    that fix letter 0 and whose sections at 0 hit every generator.
+    """
+    if not gens:
+        raise ValueError("need at least one generator")
+    aut = gens[0].automaton
+    k = aut.alphabet.size
+    perms = [aut.perms[g.index] for g in gens]
+    if component_count(k, [(x, p(x)) for p in perms for x in range(k)]) > 1:
+        return RecurrenceVerdict("false")
+
+    targets = {canonical_state(g) for g in gens}
+    found: set[CanonicalElement] = set()
+    step: list[CanonicalElement] = []
+    for g in gens:
+        el = canonical_state(g)
+        step.extend([el, el.inverse()])
+    ball: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
+    frontier_elems = [CanonicalElement.identity(k)]
+    for _ in range(max_word_length):
+        new_elems: list[CanonicalElement] = []
+        for e in frontier_elems:
+            for s in step:
+                prod = e * s
+                if prod in ball:
+                    continue
+                ball[prod] = None
+                new_elems.append(prod)
+                if prod.act((0,)) == (0,):
+                    sec = prod.section((0,))
+                    if sec in targets:
+                        found.add(sec)
+                        if found == targets:
+                            return RecurrenceVerdict("true")
+        frontier_elems = new_elems
+    return RecurrenceVerdict("inconclusive", max_word_length)

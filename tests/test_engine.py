@@ -27,7 +27,14 @@ from selfsim import (
 from selfsim.core import _inverse_rows
 from selfsim.engine import _canonical
 
-from ._oracles import doc_act, nucleus_by_products, recurrent_nodes, word_act, words_upto
+from ._oracles import (
+    doc_act,
+    nucleus_by_products,
+    recurrence_by_products,
+    recurrent_nodes,
+    word_act,
+    words_upto,
+)
 
 
 def _load(key):
@@ -331,7 +338,15 @@ def test_canonical_generators_names():
     assert named[0][1] == canonical_state(gens[0])
 
 
-def test_is_recurrent_verdicts():
+def test_is_recurrent_verdicts(monkeypatch):
+    products = []
+    original = CanonicalElement.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(CanonicalElement, "__mul__", counted)
     for key, expected in (("basilica", True), ("z2", True), ("odometer", True)):
         _, _, gens = _load(key)
         verdict = is_recurrent(gens)
@@ -341,6 +356,8 @@ def test_is_recurrent_verdicts():
     verdict = is_recurrent(gens)
     assert verdict.kind == "false"
     assert not verdict
+    # the ball is searched on pool states, never by a canonical product
+    assert products == []
 
 
 def test_compute_nucleus_requires_generators():
@@ -401,6 +418,20 @@ def test_nucleus_matches_product_oracle_on_generated_automata():
             deeper = compute_nucleus(gens, bound, 2 * depth)
             assert not deeper.is_contracting or deeper.depth > depth
     assert outcomes == {None, "elements", "depth"}
+
+
+def test_is_recurrent_matches_product_oracle_on_generated_automata():
+    rng = random.Random(9)
+    kinds = set()
+    for t in range(40):
+        doc = (_random_document if t % 2 else _random_bounded_document)(rng)
+        _, gens = to_automaton(doc)
+        for length in range(1, 5):
+            verdict = is_recurrent(gens, length)
+            ref = recurrence_by_products(gens, length)
+            assert (verdict.kind, verdict.word_length_bound) == (ref.kind, ref.word_length_bound)
+            kinds.add(verdict.kind)
+    assert kinds == {"true", "false", "inconclusive"}
 
 
 def test_table_kernel_against_oracles_on_generated_automata():

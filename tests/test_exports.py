@@ -18,6 +18,7 @@ from selfsim import (
     self_similarity_graph,
     simplicial,
     to_automaton,
+    word,
     BoundaryPoint,
 )
 
@@ -179,7 +180,7 @@ def test_labels_stay_distinct_over_more_than_ten_letters():
     gens = to_automaton(doc)[1]
     g = self_similarity_graph(gens, 2)
     assert len(set(g.labels)) == g.vertex_count == 1 + 11 + 121
-    assert (g.labels[1 + 10], g.labels[1 + 11 + 11]) == ("10", "1.0")
+    assert (g.labels[1 + 10], g.labels[1 + 11 + 11]) == ("10.", "1.0")
     rows = parse_edges(export_graph(g, "edges"))
     assert len(set(rows)) == len(rows) == len(g.edges)
     assert len({end for row in rows for end in row[:2]}) == g.vertex_count
@@ -192,3 +193,9 @@ def test_labels_stay_distinct_over_more_than_ten_letters():
         members = next(c for c in connected_components(level) if Alphabet(11).index_of(root) in c)
         assert comp.labels == tuple(level.labels[v] for v in members.tolist())
         assert comp.labels[at] == ".".join(map(str, root))
+    # every label reads back as its own word, and a level-1 label points its component
+    for n in range(1, 5):
+        level = build_schreier(gens, n)
+        assert all(word(label) == level.vertex_word(i) for i, label in enumerate(level.labels))
+    comp, at = pointed_component(gens, build_schreier(gens, 1).labels[10], 1)
+    assert comp.labels[at] == "10."
