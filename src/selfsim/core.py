@@ -17,8 +17,9 @@ The operations on raw automaton tables (product, quotient, inverse rows,
 breadth-first reachability and the recurrent-node peel) are written once
 here and shared with the engine's canonical elements, the Schreier level
 tables and the boundary-point equivalence graphs. Breadth-first
-reachability takes a successor function, so it walks table states, pairs
-of pool states and state-set nodes alike: any hashable node will do.
+reachability takes any hashable node: table states, pool pairs, state sets.
+A quotient is Moore refinement in numpy array rounds with keys below n^2,
+its classes numbered by first occurrence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import functools
 import itertools
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 # (images, sections): images[i] is the output image row of state i and
 # sections[i][x] the index of its section at letter x.
@@ -424,31 +427,34 @@ def product_automaton(aut: MealyAutomaton, power: int) -> MealyAutomaton:
     return MealyAutomaton(aut.alphabet, names, perms, sections)
 
 
-def _dense_rank(keys: list) -> tuple[list[int], int]:
-    seen: dict = {}
-    out = []
-    for key in keys:
-        if key not in seen:
-            seen[key] = len(seen)
-        out.append(seen[key])
-    return out, len(seen)
-
-
 def refine_partition(
-    perm_keys: Sequence, sections: Sequence[tuple[int, ...]]
+    perm_keys: Sequence[tuple[int, ...]], sections: Sequence[tuple[int, ...]]
 ) -> tuple[list[int], int]:
-    """Coarsest partition where classes share outputs and map sections to classes.
+    """Coarsest partition where classes share output rows and map sections to classes.
 
-    Standard partition refinement run to a fixed point; two states land in the
-    same class exactly when they act identically on every word.
+    Moore rounds until the class count stops growing: the output rows (entries
+    below k), then the rows (color[i], color[sections[i][0]], ...), are ranked
+    one column at a time by np.unique, keys below n * max(n, k). Classes are
+    numbered by first occurrence; two states share one iff they act alike.
     """
-    color, count = _dense_rank(perm_keys)
+    if not perm_keys:
+        return [], 0
+    n, k = len(perm_keys), len(perm_keys[0])
+    # read flat: np.array on a tuple of tuples is several times slower
+    images, successors = (
+        np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * k).reshape(n, k)
+        for rows in (perm_keys, sections)
+    )
+    color, count, columns = np.zeros(n, dtype=np.int64), 0, images.T
     while True:
-        sigs = [(color[i], tuple(color[j] for j in sections[i])) for i in range(len(color))]
-        color2, count2 = _dense_rank(sigs)
-        if count2 == count:
-            return color2, count2
-        color, count = color2, count2
+        refined = color
+        for col in columns:
+            classes, refined = np.unique(refined * max(count, k) + col, return_inverse=True)
+        if len(classes) == count:
+            _, first = np.unique(color, return_index=True)
+            return np.argsort(np.argsort(first))[color].tolist(), count
+        color, count = refined, len(classes)
+        columns = color[successors.T]
 
 
 def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: direct interpretation of recursion
 documents, union-find over explicit edge lists, path search by plain
-memoized recursion, the nucleus closure as one canonical product per pair
-of elements, and the recurrence test over a ball of canonical products. No
-code is shared with the library's vectorized, peeled or pooled
-implementations.
+memoized recursion, partition refinement by one tuple signature per state
+and round ranked in a dict, the nucleus closure as one canonical product
+per pair of elements, and the recurrence test over a ball of canonical
+products. No code is shared with the library's vectorized, peeled or
+pooled implementations.
 """
 
 import functools
@@ -54,6 +55,31 @@ def word_act(doc: RecursionDocument, factors, letters) -> tuple[int, ...]:
     for name, exp in reversed(factors):
         w = one(name, exp, w)
     return w
+
+
+def _dense_rank(keys: list) -> tuple[list[int], int]:
+    seen: dict = {}
+    out = []
+    for key in keys:
+        if key not in seen:
+            seen[key] = len(seen)
+        out.append(seen[key])
+    return out, len(seen)
+
+
+def refine_by_signatures(perm_keys, sections) -> tuple[list[int], int]:
+    """Moore refinement by signatures: each round ranks (color, section colors) per state.
+
+    Classes are numbered by first occurrence of their signature, so the
+    final numbering is by first occurrence of the class.
+    """
+    color, count = _dense_rank(perm_keys)
+    while True:
+        sigs = [(color[i], tuple(color[j] for j in sections[i])) for i in range(len(color))]
+        color2, count2 = _dense_rank(sigs)
+        if count2 == count:
+            return color2, count2
+        color, count = color2, count2
 
 
 def words_upto(k: int, n: int):

@@ -7,10 +7,12 @@ import pytest
 
 from selfsim import (
     Alphabet,
+    GroupWord,
     MealyAutomaton,
     Permutation,
     act_letter,
     act_word,
+    canonicalize,
     catalog_get,
     invert,
     inverse_state,
@@ -22,9 +24,9 @@ from selfsim import (
     word,
     word_str,
 )
-from selfsim.core import _recurrent
+from selfsim.core import _recurrent, refine_partition
 
-from ._oracles import doc_act, recurrent_nodes, words_upto
+from ._oracles import doc_act, recurrent_nodes, refine_by_signatures, words_upto
 
 
 def _basilica():
@@ -309,3 +311,83 @@ def test_recurrent_matches_walk_oracle_on_generated_digraphs():
             assert got == []
         if kind == "cycle":
             assert got
+
+
+def _generated_table(rng, n, k):
+    """Random (images, sections) on n states over k letters, at most three distinct image rows.
+
+    Duplicates are planted as a block copied with its sections pointing into
+    the copy, so a copy and its original have different rows and only
+    refinement finds them equal; states are renumbered at random after.
+    """
+    # the identity, a cycle and a random row; mostly the identity
+    rows = [tuple(range(k)), (*range(1, k), 0), tuple(rng.sample(range(k), k))]
+    images = [rows[0] if rng.random() < 0.7 else rng.choice(rows) for _ in range(n)]
+    sections = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(n)]
+    block = rng.randint(0, n // 2)
+    for i in range(block):
+        images[n - block + i] = images[i]
+        sections[n - block + i] = tuple(n - block + j if j < block else j for j in sections[i])
+    sigma = rng.sample(range(n), n)
+    out_images = [None] * n
+    out_sections = [None] * n
+    for i in range(n):
+        out_images[sigma[i]] = images[i]
+        out_sections[sigma[i]] = tuple(sigma[j] for j in sections[i])
+    return out_images, out_sections
+
+
+def _chain(n, k):
+    """State i < n-1 fixes its letter and moves to i+1; only the last one swaps 0 and 1.
+
+    State i first acts at depth n-1-i, so refinement needs about n rounds.
+    """
+    swap = (1, 0, *range(2, k))
+    images = [tuple(range(k))] * (n - 1) + [swap]
+    sections = [(i + 1,) * k for i in range(n - 1)] + [(n - 1,) * k]
+    return images, sections
+
+
+def _same_action(images, sections, i, j, depth):
+    def act(q, w):
+        out = []
+        for x in w:
+            out.append(images[q][x])
+            q = sections[q][x]
+        return out
+
+    return all(act(i, w) == act(j, w) for w in words_upto(len(images[0]), depth))
+
+
+def test_refine_partition_matches_signature_oracle():
+    assert refine_partition([], []) == refine_by_signatures([], []) == ([], 0)
+    rng = random.Random(11)
+    for k in (1, 2, 3, 11):
+        for n in (1, 2, 3, 4, 5, 6, 7, 10, 17, 40, 100, 300):
+            for _ in range(3):
+                images, sections = _generated_table(rng, n, k)
+                got = refine_partition(images, sections)
+                assert got == refine_by_signatures(images, sections), (k, images, sections)
+                color, count = got
+                assert count == len(set(color))
+                if n <= 6 and k <= 3:
+                    # Moore: inequivalent states differ on some word of length below n
+                    for i, j in product(range(n), repeat=2):
+                        assert (color[i] == color[j]) == _same_action(images, sections, i, j, n)
+        if k > 1:
+            for n in (2, 6, 50, 300):
+                images, sections = _chain(n, k)
+                assert refine_partition(images, sections) == refine_by_signatures(images, sections)
+                assert refine_partition(images, sections) == (list(range(n)), n)
+
+
+def test_kernel_tables_hold_python_ints():
+    # a leaked numpy scalar prints as np.int64(3) and hashes slowly in every tuple
+    images, sections = _generated_table(random.Random(3), 40, 2)
+    color, count = refine_partition(images, sections)
+    assert type(count) is int and all(type(c) is int for c in color)
+    _, aut, gens = _basilica()
+    assert all(type(c) is int for c in minimize(aut)[1])
+    el = canonicalize(GroupWord(tuple(gens), ((0, 1), (1, -1), (0, 1))))
+    for g in (el, el * el, el * el.inverse()):
+        assert all(type(v) is int for rows in (g.perms, g.sections) for row in rows for v in row)
