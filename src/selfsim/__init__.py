@@ -12,12 +12,10 @@ from .core import (
     MealyAutomaton,
     Permutation,
     StateRef,
-    act_letter,
     act_word,
     inverse_state,
     invert,
     minimize,
-    product_automaton,
     section_word,
     word,
     word_str,
@@ -52,8 +50,6 @@ from .schreier import (
     SimplicialGraph,
     build_schreier,
     connected_components,
-    dual_moore_check,
-    level_permutation,
     pointed_component,
     simplicial,
 )
@@ -63,7 +59,6 @@ from .limits import (
     asymptotic_equivalent,
     equivalence_class,
     gh_sequence,
-    gh_sequence_export,
     self_similarity_graph,
 )
 from .exports import FORMATS, export_graph, parse_edges
@@ -103,7 +98,6 @@ __all__ = [
     "StateDef",
     "StateRef",
     "UnknownEntryError",
-    "act_letter",
     "act_word",
     "asymptotic_equivalent",
     "automaton_document",
@@ -117,23 +111,19 @@ __all__ = [
     "cli_main",
     "compute_nucleus",
     "connected_components",
-    "dual_moore_check",
     "eigenvalue_multiplicity",
     "equivalence_class",
     "export_graph",
     "gh_sequence",
-    "gh_sequence_export",
     "inverse_state",
     "invert",
     "is_recurrent",
-    "level_permutation",
     "markov_operator",
     "minimize",
     "mother_document",
     "parse",
     "parse_edges",
     "pointed_component",
-    "product_automaton",
     "recurrent_sections",
     "section_word",
     "self_similarity_graph",

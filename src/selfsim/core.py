@@ -242,13 +242,6 @@ class StateRef:
         return f"StateRef({self.name!r})"
 
 
-def act_letter(state: StateRef, x: int) -> tuple[int, StateRef]:
-    """One step of the action: returns (output letter, section at x)."""
-    aut = state.automaton
-    (y,), i = _walk(_tables(aut), state.index, aut.alphabet.check_word((x,)))
-    return y, StateRef(aut, i)
-
-
 def act_word(state: StateRef, letters: Sequence[int] | str) -> tuple[int, ...]:
     """Image of a word under the state's tree action."""
     aut = state.automaton
@@ -292,22 +285,20 @@ def _inverse_rows(tables: Tables) -> Tables:
     return tuple(inv_images), tuple(inv_sections)
 
 
-def _product_tables(
-    factors: Sequence[Tables], roots: Iterable[tuple[int, ...]]
-) -> tuple[Tables, list[tuple[int, ...]]]:
-    """Tables of the state tuples reachable from roots, and the tuples in order.
+def _product_tables(factors: Sequence[Tables], root: tuple[int, ...]) -> Tables:
+    """Tables of the state tuples reachable from root.
 
     Position i of a tuple holds a state of factors[i]; the tuple acts as its
     first component after the second after ... after the last, so the last
     component touches the input word first, and sections follow the product
-    rule componentwise. Tuples are numbered in discovery order, roots first.
+    rule componentwise. Tuples are numbered in discovery order, root first.
     """
     # discovery is its own loop, not _reachable: a tuple's successors are found in the
     # same pass that builds its rows, and a separate walk would compute them twice
     # tuples are keyed last position first, the order in which the action reads them
     back = factors[::-1]
-    order = [t[::-1] for t in dict.fromkeys(roots)]
-    number = {t: i for i, t in enumerate(order)}
+    order = [root[::-1]]
+    number = {order[0]: 0}
     images = []
     sections = []
     for t in order:
@@ -328,7 +319,7 @@ def _product_tables(
             section_row.append(number[nxt])
         images.append(tuple(image_row))
         sections.append(tuple(section_row))
-    return (tuple(images), tuple(sections)), [t[::-1] for t in order]
+    return tuple(images), tuple(sections)
 
 
 def _quotient(tables: Tables) -> tuple[list[int], list[int], Tables]:
@@ -405,26 +396,6 @@ def inverse_state(state: StateRef) -> StateRef:
     aut = invert(state.automaton)
     assert aut.inverse_index is not None
     return StateRef(aut, aut.inverse_index[state.index])
-
-
-def product_automaton(aut: MealyAutomaton, power: int) -> MealyAutomaton:
-    """Automaton whose states are power-tuples acting by composition.
-
-    The tuple (q1, ..., qm) acts as q1 after q2 after ... after qm, so the
-    last component touches the input word first. Sections follow the product
-    rule componentwise.
-    """
-    if power < 1:
-        raise ValueError("power must be at least 1")
-    m = len(aut)
-    if m**power > 1_000_000:
-        raise ValueError(f"product automaton would have {m}^{power} states")
-    (images, sections), tuples = _product_tables(
-        [_tables(aut)] * power, itertools.product(range(m), repeat=power)
-    )
-    names = tuple("(" + ",".join(aut.names[i] for i in t) + ")" for t in tuples)
-    perms = tuple(Permutation(img) for img in images)
-    return MealyAutomaton(aut.alphabet, names, perms, sections)
 
 
 def refine_partition(

@@ -9,7 +9,8 @@
 
 One state per line: an output permutation, written as disjoint cycles over
 letters or the keyword "id", followed by the parenthesised list of section
-names, one per letter. "#" starts a comment; blank lines are ignored. The
+names, one per letter. A line with "=" defines a state, so states may be
+named "alphabet" or "gens". "#" starts a comment; blank lines are ignored. The
 comment forms "# title: ..." and "# cite: ..." attach document metadata and
 survive a serialize/parse round trip. The alphabet line must come first.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from .core import Alphabet, MealyAutomaton, Permutation, StateRef
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_^+\-]*")
-_ALPHABET = re.compile(r"alphabet\s+(\S+)\s*$")
-_GENS = re.compile(r"gens(\s+.*)?$")
+_ALPHABET = re.compile(r"alphabet\s+([^\s=]+)\s*$")
+_GENS = re.compile(r"gens(\s+[^=]*)?$")
 _CYCLE = re.compile(r"\(([^()]*)\)")
 
 

@@ -116,7 +116,7 @@ class CanonicalElement:
         if self.k != other.k:
             raise ValueError("elements act on different alphabets")
         factors = [(self.perms, self.sections), (other.perms, other.sections)]
-        product, _ = _product_tables(factors, [(0, 0)])
+        product = _product_tables(factors, (0, 0))
         return _canonical(product, 0)
 
     def inverse(self) -> "CanonicalElement":
@@ -190,7 +190,7 @@ def canonicalize(gw: GroupWord) -> CanonicalElement:
         gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
         for pos, exp in gw.factors
     )
-    product, _ = _product_tables([_tables(aut)] * len(factor_states), [factor_states])
+    product = _product_tables([_tables(aut)] * len(factor_states), factor_states)
     return _canonical(product, 0)
 
 

@@ -287,6 +287,8 @@ def self_similarity_graph(gens: Sequence, depth: int, vertex_cap: int | None = N
     horizontal (generator action within a level) edges."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if not gens:
+        raise ValueError("need at least one generator")
     aut = gens[0].automaton
     k = aut.alphabet.size
     total = sum(k**n for n in range(depth + 1))
@@ -314,19 +316,3 @@ def gh_sequence(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return [pointed_component(gens, xi, n, vertex_cap) for n in range(1, n_max + 1)]
-
-
-def gh_sequence_export(
-    gens: Sequence,
-    xi: BoundaryPoint,
-    n_max: int,
-    fmt: str = "edges",
-    vertex_cap: int | None = None,
-) -> list[str]:
-    """The rooted component sequence rendered in an export format, one text per level."""
-    from .exports import export_graph
-
-    return [
-        export_graph(graph, fmt, root=root)
-        for graph, root in gh_sequence(gens, xi, n_max, vertex_cap)
-    ]

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Alphabet, MealyAutomaton, StateRef, _reachable, _tables, _walk, word, word_str
+from .core import Alphabet, MealyAutomaton, StateRef, _reachable, word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -136,11 +136,6 @@ def _components(images: Sequence[np.ndarray], total: int) -> list[np.ndarray]:
     return np.split(order, starts)
 
 
-def level_permutation(state: StateRef, n: int, vertex_cap: int | None = None) -> np.ndarray:
-    """Permutation array of the state on level n: entry v is the image of v."""
-    return build_schreier([state], n, vertex_cap).images[0]
-
-
 @dataclass
 class LabeledSchreierGraph:
     """Arrows v -> s(v) on level `level`, one per generator and vertex."""
@@ -240,59 +235,3 @@ def pointed_component(
     edges = _simple_edges(((src, position[img[members]]) for img in graph.images), len(members))
     labels = _vertex_labels(graph.alphabet_size, n, members.tolist())
     return SimplicialGraph(labels, edges), int(position[root])
-
-
-def _orbit_code(successors: list[list[int]], root: int) -> tuple:
-    """Breadth-first encoding of the forward orbit of root; canonical per rooted orbit."""
-    order, number = _reachable(successors.__getitem__, [root])
-    return (len(order), tuple(number[t] for v in order for t in successors[v]))
-
-
-def _canonical_label_code(images: list, total: int) -> tuple:
-    """Canonical form of a vertex set with one permutation per label.
-
-    The graph splits into orbits of the permutation group the labels generate;
-    each orbit's canonical code is the least breadth-first encoding over its
-    possible roots, and the full form is the sorted tuple of orbit codes.
-    """
-    for img in images:
-        counts = np.bincount(np.asarray(img, dtype=np.int64), minlength=total)
-        if not (counts == 1).all():
-            raise ValueError("each label must act as a permutation")
-    successors = [[int(img[v]) for img in images] for v in range(total)]
-    codes = [
-        min(_orbit_code(successors, v) for v in orbit.tolist())
-        for orbit in _components(images, total)
-    ]
-    return tuple(sorted(codes))
-
-
-def dual_moore_check(aut: MealyAutomaton, n: int) -> bool:
-    """Cross-validation: the level-n graph of all states matches the dual construction.
-
-    The dual reading swaps the roles of states and letters: vertices are
-    letter words and each state q moves a word to its image, the transition
-    computed by folding outputs and sections from the deepest letter up.
-    Both labeled graphs are canonicalized and compared; exact canonical
-    labeling is only attempted for n at most 4.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError("dual Moore comparison only runs for levels 1 through 4")
-    k = aut.alphabet.size
-    total = k**n
-    tables = _level_tables(aut, list(range(len(aut))), n)
-    schreier_images = [np.asarray(tables[i], dtype=np.int64) for i in range(len(aut))]
-
-    alphabet = Alphabet(k)
-    rows = _tables(aut)
-    dual_images = []
-    for q in range(len(aut)):
-        img = np.empty(total, dtype=np.int64)
-        for v in range(total):
-            out, _ = _walk(rows, q, reversed(alphabet.word_at(v, n)))
-            img[v] = alphabet.index_of(out[::-1])
-        dual_images.append(img)
-
-    return _canonical_label_code(schreier_images, total) == _canonical_label_code(
-        dual_images, total
-    )

@@ -87,6 +87,13 @@ def words_upto(k: int, n: int):
         yield from product(range(k), repeat=length)
 
 
+def level_images(doc: RecursionDocument, n: int) -> list[list[int]]:
+    """Per state of the document, the index of each level-n word's image, words in index order."""
+    words = list(product(range(doc.alphabet_size), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    return [[index[doc_act(doc, st.name, w)] for w in words] for st in doc.states]
+
+
 def arrow_rows(graph) -> list[tuple[int, int, str]]:
     """(src, dst, generator) of a labeled graph's arrows, generator by generator,
     each generator's arrows in vertex order, read entry by entry from its images."""

@@ -20,11 +20,9 @@ from selfsim import (
     catalog_list,
     compute_nucleus,
     connected_components,
-    dual_moore_check,
     eigenvalue_multiplicity,
     equivalence_class,
     export_graph,
-    level_permutation,
     parse,
     pointed_component,
     self_similarity_graph,
@@ -34,7 +32,7 @@ from selfsim import (
     to_automaton,
 )
 
-from ._oracles import arrow_rows, component_count
+from ._oracles import arrow_rows, component_count, level_images
 
 CONTRACTING_KEYS = (
     "identity",
@@ -128,7 +126,7 @@ def test_criterion_04_word_problem_and_aleshin_freeness():
     size = 2**depth
     perms = {}
     for i, g in enumerate(gens):
-        arr = np.asarray(level_permutation(g, depth), dtype=np.int64)
+        arr = np.asarray(build_schreier([g], depth).images[0], dtype=np.int64)
         inv = np.empty_like(arr)
         inv[arr] = np.arange(size)
         perms[(i, 1)] = arr
@@ -195,10 +193,12 @@ def test_criterion_05_asymptotic_equivalence_relation():
 
 def test_criterion_06_dual_moore_coincidence():
     for key in ("basilica", "identity"):
-        aut, _ = catalog_get(key).automaton()
-        for n in (1, 2):
-            assert dual_moore_check(aut, n), (key, n)
-    print("PASS criterion 6: dual Moore coincidence at levels 1 and 2")
+        doc = catalog_get(key).document()
+        aut, _ = to_automaton(doc)
+        for n in (1, 2, 3):
+            graph = build_schreier(aut.states(), n)
+            assert [img.tolist() for img in graph.images] == level_images(doc, n), (key, n)
+    print("PASS criterion 6: every state's level images at levels 1 to 3 equal the recursion's")
 
 
 def test_criterion_07_connectivity():

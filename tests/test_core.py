@@ -10,7 +10,6 @@ from selfsim import (
     GroupWord,
     MealyAutomaton,
     Permutation,
-    act_letter,
     act_word,
     canonicalize,
     catalog_get,
@@ -18,7 +17,6 @@ from selfsim import (
     inverse_state,
     minimize,
     parse,
-    product_automaton,
     section_word,
     to_automaton,
     word,
@@ -152,11 +150,11 @@ def test_act_letter_matches_definitions():
     a, b = aut.state("a"), aut.state("b")
     e = aut.state("id")
     # a = (0 1)(b, id): swaps, sections b then id
-    assert act_letter(a, 0) == (1, b)
-    assert act_letter(a, 1) == (0, e)
+    assert (act_word(a, (0,)), section_word(a, (0,))) == ((1,), b)
+    assert (act_word(a, (1,)), section_word(a, (1,))) == ((0,), e)
     # b = id(a, id): trivial root action
-    assert act_letter(b, 0) == (0, a)
-    assert act_letter(b, 1) == (1, e)
+    assert (act_word(b, (0,)), section_word(b, (0,))) == ((0,), a)
+    assert (act_word(b, (1,)), section_word(b, (1,))) == ((1,), e)
 
 
 def test_act_word_matches_document_oracle():
@@ -182,7 +180,7 @@ def test_section_word_composes():
     for w in words_upto(2, 5):
         ref = a
         for x in w:
-            ref = act_letter(ref, x)[1]
+            ref = section_word(ref, (x,))
         assert section_word(a, w) == ref
 
 
@@ -212,26 +210,8 @@ def test_inverse_state_resolves_double_inverses():
     assert inverse_state(aut.state("a")).name == "a^-1"
 
 
-def test_product_automaton_acts_by_iteration():
-    doc, aut, _ = _basilica()
-    squared = product_automaton(aut, 2)
-    for left in doc.states:
-        for right in doc.states:
-            pair = squared.state(f"({left.name},{right.name})")
-            lref, rref = aut.state(left.name), aut.state(right.name)
-            for w in words_upto(2, 4):
-                assert act_word(pair, w) == act_word(lref, act_word(rref, w))
-
-
-def test_product_automaton_validates_power():
-    _, aut, _ = _basilica()
-    with pytest.raises(ValueError):
-        product_automaton(aut, 0)
-
-
 def test_table_operations_accept_the_empty_automaton():
     empty = MealyAutomaton(Alphabet(2), (), (), ())
-    assert len(product_automaton(empty, 2)) == 0
     assert len(minimize(empty)[0]) == 0
     assert len(invert(empty)) == 0
 

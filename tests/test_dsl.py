@@ -3,6 +3,8 @@
 import pytest
 
 from selfsim import (
+    Alphabet,
+    MealyAutomaton,
     ParseError,
     Permutation,
     automaton_document,
@@ -138,12 +140,31 @@ def test_automaton_document_defaults_to_all_states_as_gens():
 
 
 def test_automaton_document_rejects_unprintable_names():
-    from selfsim import product_automaton
-
-    aut, _ = to_automaton(parse(BASILICA))
-    # product states are named "(a,b)", which the grammar cannot express
+    # a product state named "(a,b)" cannot be written in the grammar
+    aut = MealyAutomaton(Alphabet(2), ("(a,b)",), (Permutation.identity(2),), ((0, 0),))
     with pytest.raises(ValueError):
-        automaton_document(product_automaton(aut, 2))
+        automaton_document(aut)
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("alphabet 2\ngens = (0 1)(gens, gens)\ngens gens\n", "gens"),
+        ("alphabet 1\nalphabet =id(alphabet)\ngens alphabet\n", "alphabet"),
+        ("alphabet 2\ngens=(0 1)(gens, gens)\ngens gens\n", "gens"),
+    ],
+)
+def test_a_line_with_equals_defines_a_state(text, name):
+    doc = parse(text)
+    assert [st.name for st in doc.states] == [name]
+    assert doc.gens == (name,)
+
+
+def test_round_trip_of_states_named_gens_and_alphabet():
+    perms = (Permutation((1, 0)), Permutation.identity(2))
+    aut = MealyAutomaton(Alphabet(2), ("gens", "alphabet"), perms, ((1, 0), (1, 1)))
+    doc = automaton_document(aut)
+    assert parse(serialize(doc)) == doc
 
 
 def test_catalog_texts_parse_to_their_documents():

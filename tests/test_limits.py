@@ -13,8 +13,8 @@ from selfsim import (
     catalog_get,
     compute_nucleus,
     equivalence_class,
+    export_graph,
     gh_sequence,
-    gh_sequence_export,
     parse_edges,
     pointed_component,
     self_similarity_graph,
@@ -281,6 +281,8 @@ def test_self_similarity_graph_validation():
     gens = to_automaton(catalog_get("basilica").document())[1]
     with pytest.raises(ValueError):
         self_similarity_graph(gens, 0)
+    with pytest.raises(ValueError, match="need at least one generator"):
+        self_similarity_graph([], 3)
     with pytest.raises(ResourceCapError):
         self_similarity_graph(gens, 12, vertex_cap=1000)
 
@@ -306,7 +308,7 @@ def test_gh_sequence_validation():
 def test_gh_sequence_export_texts():
     gens = to_automaton(catalog_get("basilica").document())[1]
     xi = BoundaryPoint.parse("0^w")
-    texts = gh_sequence_export(gens, xi, 3)
+    texts = [export_graph(g, "edges", root=r) for g, r in gh_sequence(gens, xi, 3)]
     assert len(texts) == 3
     for n, text in enumerate(texts, start=1):
         assert f"# root\t{'0' * n}" in text

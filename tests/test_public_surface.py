@@ -1,0 +1,41 @@
+"""Every public name has a user outside the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+import selfsim
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _references(path: Path) -> set[str]:
+    """Names read, attributes, imported names and strings in a Python file; bindings aside."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _readme_code() -> set[str]:
+    """Identifiers inside the README's code blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.DOTALL)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def test_every_public_name_has_a_user_path():
+    """A use is a reference in a library module other than the package's __init__
+    (a definition is not a reference), in a demo, in perfbench/tracer.py, or in
+    the README's code."""
+    files = [p for p in sorted((ROOT / "src" / "selfsim").glob("*.py")) if p.name != "__init__.py"]
+    files += [*sorted((ROOT / "demos").glob("*.py")), ROOT / "perfbench" / "tracer.py"]
+    used = _readme_code().union(*map(_references, files))
+    assert [name for name in selfsim.__all__ if name not in used] == []

@@ -1,4 +1,4 @@
-"""Level graphs: construction, components, pointed components, dual check."""
+"""Level graphs: construction, components, pointed components, oracle images."""
 
 import random
 import xml.etree.ElementTree as ET
@@ -16,9 +16,7 @@ from selfsim import (
     build_schreier,
     catalog_get,
     connected_components,
-    dual_moore_check,
     export_graph,
-    level_permutation,
     parse_edges,
     pointed_component,
     simplicial,
@@ -26,7 +24,7 @@ from selfsim import (
     BoundaryPoint,
 )
 
-from ._oracles import arrow_rows, component_count, component_sets
+from ._oracles import arrow_rows, component_count, component_sets, level_images
 
 
 def _gens(key):
@@ -72,15 +70,6 @@ def test_images_are_permutations():
     g = build_schreier(gens, 6)
     for img in g.images:
         assert (np.bincount(img, minlength=g.vertex_count) == 1).all()
-
-
-def test_level_permutation_matches_graph_row():
-    gens = _gens("basilica")
-    g = build_schreier(gens, 4)
-    assert (level_permutation(gens[0], 4) == g.images[0]).all()
-    assert (level_permutation(gens[1], 4) == g.images[1]).all()
-    with pytest.raises(ValueError):
-        level_permutation(gens[0], -1)
 
 
 def test_build_schreier_validation():
@@ -286,16 +275,10 @@ def test_pointed_roots_nest_as_prefixes():
         assert comp.labels[root] == "".join(str(x) for x in xi.prefix(n))
 
 
-def test_dual_moore_check_small_levels():
+def test_every_state_level_images_match_oracle():
     for key in ("basilica", "grigorchuk", "odometer", "identity"):
-        aut, _ = to_automaton(catalog_get(key).document())
+        doc = catalog_get(key).document()
+        aut, _ = to_automaton(doc)
         for n in (1, 2, 3):
-            assert dual_moore_check(aut, n)
-
-
-def test_dual_moore_check_rejects_large_levels():
-    aut, _ = to_automaton(catalog_get("basilica").document())
-    with pytest.raises(ValueError):
-        dual_moore_check(aut, 5)
-    with pytest.raises(ValueError):
-        dual_moore_check(aut, 0)
+            graph = build_schreier(aut.states(), n)
+            assert [img.tolist() for img in graph.images] == level_images(doc, n), (key, n)
