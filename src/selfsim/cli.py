@@ -11,6 +11,7 @@ equivalence answer both exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .catalog import UnknownEntryError, catalog_get, check_entry
@@ -173,6 +174,8 @@ def _cmd_pointed(args) -> int:
     return EXIT_OK
 
 
+# built once per process: parse_args fills a new namespace each call and leaves the parser as it was
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="selfsim", description="Self-similar group computations.")
     subs = parser.add_subparsers(dest="command", required=True)

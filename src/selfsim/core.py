@@ -18,8 +18,14 @@ breadth-first reachability and the recurrent-node peel) are written once
 here and shared with the engine's canonical elements, the Schreier level
 tables and the boundary-point equivalence graphs. Breadth-first
 reachability takes any hashable node: table states, pool pairs, state sets.
-A quotient is Moore refinement in numpy array rounds with keys below n^2,
-its classes numbered by first occurrence.
+
+Product, quotient and inverse rows compute on (n, k) int64 numpy tables and
+take tuple tables too. A product finds its state tuples a frontier at a time:
+one gather of the positions' output rows, their prefix compositions by a
+doubling scan of ceil(log2 L) steps, one gather of the sections, and new
+tuples numbered by first occurrence of their bytes. A quotient is Moore
+refinement in numpy rounds with keys below n^2, classes numbered by first
+occurrence, its class tables fancy-indexed.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ import numpy as np
 # (images, sections): images[i] is the output image row of state i and
 # sections[i][x] the index of its section at letter x.
 Tables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+# the same pair as (n, k) int64 arrays, the form the kernel computes in
+Arrays = tuple[np.ndarray, np.ndarray]
 
 
 def word(letters: Sequence[int] | str) -> tuple[int, ...]:
@@ -268,72 +276,82 @@ def _walk(tables: Tables, i: int, w: Iterable[int]) -> tuple[tuple[int, ...], in
     return tuple(out), i
 
 
-def _inverse_rows(tables: Tables) -> Tables:
+def _array(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Rows of ints as one (n, k) int64 array; an array passes through."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    # read flat: np.array on a tuple of tuples is several times slower
+    n, k = len(rows), len(rows[0]) if rows else 0
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * k).reshape(n, k)
+
+
+def _tuples(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """An (n, k) array as n row tuples of Python ints."""
+    # zipping the k columns builds no list per row
+    return tuple(zip(*rows.T.tolist()))
+
+
+def _inverse_rows(tables: Tables | Arrays) -> Arrays:
     """Inverse rows: state i of the result is q_i^-1, with q^-1|_y = (q|_{sigma_q^-1(y)})^-1.
 
     Section indices keep their meaning: they name the inverses of the states.
     """
-    images, sections = tables
-    inv_images = []
-    inv_sections = []
-    for img, row in zip(images, sections):
-        inv = [0] * len(img)
-        for x, y in enumerate(img):
-            inv[y] = x
-        inv_images.append(tuple(inv))
-        inv_sections.append(tuple(row[x] for x in inv))
-    return tuple(inv_images), tuple(inv_sections)
+    images, sections = map(_array, tables)
+    inverse = np.argsort(images, axis=1)
+    return inverse, np.take_along_axis(sections, inverse, axis=1)
 
 
-def _product_tables(factors: Sequence[Tables], root: tuple[int, ...]) -> Tables:
-    """Tables of the state tuples reachable from root.
+def _product_tables(tables: Tables | Arrays, root: Sequence[int]) -> Arrays:
+    """Tables of the tuples of states of one table reachable from root.
 
-    Position i of a tuple holds a state of factors[i]; the tuple acts as its
-    first component after the second after ... after the last, so the last
-    component touches the input word first, and sections follow the product
-    rule componentwise. Tuples are numbered in discovery order, root first.
+    Factors from several tables are one table with offset state ids. A tuple
+    acts as its first component after the second after ... after the last,
+    so the last component touches the input word first, and sections follow
+    the product rule componentwise. Tuples are numbered in breadth-first
+    order, root first: a frontier's successors in (tuple, letter) order, as a
+    queue meets them.
     """
-    # discovery is its own loop, not _reachable: a tuple's successors are found in the
-    # same pass that builds its rows, and a separate walk would compute them twice
-    # tuples are keyed last position first, the order in which the action reads them
-    back = factors[::-1]
-    order = [root[::-1]]
-    number = {order[0]: 0}
-    images = []
-    sections = []
-    for t in order:
-        rows = [(imgs[q], secs[q]) for (imgs, secs), q in zip(back, t)]
-        image_row = []
-        section_row = []
-        for x in range(len(rows[0][0])):
-            y = x
-            sec = []
-            for img, row in rows:
-                sec.append(row[y])
-                y = img[y]
-            nxt = tuple(sec)
-            if nxt not in number:
-                number[nxt] = len(order)
-                order.append(nxt)
-            image_row.append(y)
-            section_row.append(number[nxt])
-        images.append(tuple(image_row))
-        sections.append(tuple(section_row))
-    return tuple(images), tuple(sections)
+    images, sections = map(_array, tables)
+    k, e = images.shape[1], len(images)
+    # state e is the identity, put first in every tuple: it reads the input letter and hands it on
+    images = np.concatenate((images, [np.arange(k)]))
+    sections = np.concatenate((sections, np.full((1, k), e)))
+    # tuples are keyed last position first, the order in which the action reads them, by the
+    # bytes of their states in the narrowest dtype that holds them
+    frontier = np.array([e, *root[::-1]])[None]
+    n = frontier.shape[1]
+    narrow = np.min_scalar_type(e)
+    key = np.dtype((np.void, narrow.itemsize * n))
+    number = {frontier.astype(narrow).tobytes(): 0}
+    # position j reads the letter that positions 0..j-1 wrote, position 0 the input letter
+    before = np.maximum(np.arange(n) - 1, 0)
+    rounds = []
+    while len(frontier):
+        # position major, so a shift is a slice; perms[j, t] starts at (j * len(frontier) + t) * k
+        starts = np.arange(0, frontier.size * k, k).reshape(n, -1, 1)
+        # doubling scan: afterwards perms[j, t] is the output row of positions 0..j in turn
+        perms = np.take(images, frontier.T, axis=0)
+        shift = 1
+        while shift < n - 1:
+            perms[1 + shift :] = perms[1 + shift :].reshape(-1)[perms[1:-shift] + starts[: n - 1 - shift]]
+            shift *= 2
+        rows = sections[frontier[:, None], perms[before].transpose(1, 2, 0)].reshape(-1, n)
+        met = rows.astype(narrow, order="C").view(key).ravel().tolist()
+        # tuples not met before take the next numbers in order of first occurrence
+        fresh = dict.fromkeys(itertools.filterfalse(number.__contains__, met))
+        number.update(zip(fresh, itertools.count(len(number))))
+        rounds.append((perms[-1], np.fromiter(map(number.__getitem__, met), np.int64, len(met)).reshape(-1, k)))
+        frontier = np.frombuffer(b"".join(fresh), narrow).reshape(-1, n).astype(np.int64)
+    return tuple(map(np.concatenate, zip(*rounds)))
 
 
-def _quotient(tables: Tables) -> tuple[list[int], list[int], Tables]:
+def _quotient(tables: Tables | Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:
     """Quotient by refine_partition: each state's class, each class's first member, class tables."""
-    images, sections = tables
-    color, _ = refine_partition(images, sections)
-    # classes are numbered by first occurrence: class c appears after classes 0..c-1
-    reps: list[int] = []
-    for i, c in enumerate(color):
-        if c == len(reps):
-            reps.append(i)
-    class_images = tuple(images[r] for r in reps)
-    class_sections = tuple(tuple(color[j] for j in sections[r]) for r in reps)
-    return color, reps, (class_images, class_sections)
+    images, sections = map(_array, tables)
+    color = np.array(refine_partition(images, sections)[0], dtype=np.int64)
+    # classes are numbered by first occurrence, so first members come in class order
+    _, reps = np.unique(color, return_index=True)
+    return color, reps, (images[reps], color[sections[reps]])
 
 
 def _reachable(
@@ -385,8 +403,8 @@ def invert(aut: MealyAutomaton) -> MealyAutomaton:
     m = len(aut)
     inv_images, inv_sections = _inverse_rows(_tables(aut))
     names = aut.names + tuple(n + "^-1" for n in aut.names)
-    perms = aut.perms + tuple(Permutation(img) for img in inv_images)
-    sections = aut.sections + tuple(tuple(j + m for j in row) for row in inv_sections)
+    perms = aut.perms + tuple(Permutation(img) for img in _tuples(inv_images))
+    sections = aut.sections + _tuples(inv_sections + m)
     inverse_index = tuple(range(m, 2 * m)) + tuple(range(m))
     return MealyAutomaton(aut.alphabet, names, perms, sections, True, inverse_index)
 
@@ -399,7 +417,7 @@ def inverse_state(state: StateRef) -> StateRef:
 
 
 def refine_partition(
-    perm_keys: Sequence[tuple[int, ...]], sections: Sequence[tuple[int, ...]]
+    perm_keys: Sequence[tuple[int, ...]] | np.ndarray, sections: Sequence[tuple[int, ...]] | np.ndarray
 ) -> tuple[list[int], int]:
     """Coarsest partition where classes share output rows and map sections to classes.
 
@@ -408,14 +426,10 @@ def refine_partition(
     one column at a time by np.unique, keys below n * max(n, k). Classes are
     numbered by first occurrence; two states share one iff they act alike.
     """
-    if not perm_keys:
+    if not len(perm_keys):
         return [], 0
-    n, k = len(perm_keys), len(perm_keys[0])
-    # read flat: np.array on a tuple of tuples is several times slower
-    images, successors = (
-        np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * k).reshape(n, k)
-        for rows in (perm_keys, sections)
-    )
+    images, successors = _array(perm_keys), _array(sections)
+    n, k = images.shape
     color, count, columns = np.zeros(n, dtype=np.int64), 0, images.T
     while True:
         refined = color
@@ -435,11 +449,12 @@ def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:
     member, so minimizing twice returns an identical automaton.
     """
     color, reps, (_, sections) = _quotient(_tables(aut))
+    color, reps = color.tolist(), reps.tolist()
     names = tuple(aut.names[r] for r in reps)
     perms = tuple(aut.perms[r] for r in reps)
     inverse_index = None
     if aut.inverse_closed:
         assert aut.inverse_index is not None
         inverse_index = tuple(color[aut.inverse_index[r]] for r in reps)
-    quotient = MealyAutomaton(aut.alphabet, names, perms, sections, aut.inverse_closed, inverse_index)
+    quotient = MealyAutomaton(aut.alphabet, names, perms, _tuples(sections), aut.inverse_closed, inverse_index)
     return quotient, tuple(color)

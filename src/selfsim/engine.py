@@ -22,7 +22,10 @@ pool states below the interned root pairs. The recurrence test searches its
 ball of words on a pool too, so every search over products of elements runs
 on pool states and none canonicalizes a product on its own.
 
-The table operations behind canonical elements live in selfsim.core.
+The table operations behind canonical elements run on numpy tables: product,
+quotient and inverse rows in selfsim.core, the breadth-first renumbering here,
+a frontier at a time. A CanonicalElement's tuples are built once, when it is
+made; the pool keeps tuple tables.
 """
 
 from __future__ import annotations
@@ -30,35 +33,57 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     Alphabet,
+    Arrays,
     MealyAutomaton,
     Permutation,
     StateRef,
     Tables,
+    _array,
     _inverse_rows,
     _product_tables,
     _quotient,
     _reachable,
     _recurrent,
     _tables,
+    _tuples,
     _walk,
     invert,
 )
 
 
-def _bfs_root(tables: Tables, root: int) -> "CanonicalElement":
-    """Renumber the part reachable from root in breadth-first order."""
-    images, sections = tables
-    order, number = _reachable(sections.__getitem__, [root])
-    return CanonicalElement(
-        len(images[0]),
-        tuple(images[i] for i in order),
-        tuple(tuple(number[j] for j in sections[i]) for i in order),
-    )
+def _bfs_root(tables: Tables | Arrays, root: int) -> "CanonicalElement":
+    """Renumber the part reachable from root in breadth-first order.
+
+    Frontier by frontier: new states are numbered by first occurrence in the
+    frontier's flattened section rows, the order a queue meets them in.
+    """
+    images, sections = map(_array, tables)
+    seen = np.zeros(len(images), dtype=bool)
+    seen[root] = True
+    order = [np.array([root])]
+    while len(order[-1]):
+        met = sections[order[-1]].ravel()
+        order.append(np.fromiter(dict.fromkeys(met[~seen[met]].tolist()), np.int64))
+        seen[order[-1]] = True
+    order = np.concatenate(order)
+    number = np.empty(len(images), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    return CanonicalElement(images.shape[1], _tuples(images[order]), _tuples(number[sections[order]]))
 
 
-def _canonical(tables: Tables, root: int) -> "CanonicalElement":
+def _stack(elements: Sequence["CanonicalElement"]) -> tuple[Arrays, np.ndarray]:
+    """One table of the elements' states, each element's after the one before, and where each starts."""
+    starts = np.cumsum([0, *(el.size for el in elements)])[:-1]
+    images = np.concatenate([_array(el.perms) for el in elements])
+    sections = np.concatenate([_array(el.sections) + start for el, start in zip(elements, starts)])
+    return (images, sections), starts
+
+
+def _canonical(tables: Tables | Arrays, root: int) -> "CanonicalElement":
     """Minimize raw action tables and canonicalize the state at root."""
     color, _, quotient = _quotient(tables)
     return _bfs_root(quotient, color[root])
@@ -115,9 +140,7 @@ class CanonicalElement:
             return NotImplemented
         if self.k != other.k:
             raise ValueError("elements act on different alphabets")
-        factors = [(self.perms, self.sections), (other.perms, other.sections)]
-        product = _product_tables(factors, (0, 0))
-        return _canonical(product, 0)
+        return _canonical(_product_tables(*_stack([self, other])), 0)
 
     def inverse(self) -> "CanonicalElement":
         # the inverse rows of a minimal reachable table are minimal and reachable too
@@ -190,8 +213,7 @@ def canonicalize(gw: GroupWord) -> CanonicalElement:
         gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
         for pos, exp in gw.factors
     )
-    product = _product_tables([_tables(aut)] * len(factor_states), factor_states)
-    return _canonical(product, 0)
+    return _canonical(_product_tables(_tables(aut), factor_states), 0)
 
 
 def canonical_generators(gens: Sequence[StateRef]) -> list[tuple[str, CanonicalElement]]:
@@ -282,15 +304,10 @@ class _Pool:
     """
 
     def __init__(self, elements: Sequence[CanonicalElement]) -> None:
-        images: list[tuple[int, ...]] = []
-        sections: list[tuple[int, ...]] = []
-        starts = []
-        for el in elements:
-            starts.append(len(images))
-            images.extend(el.perms)
-            sections.extend(tuple(starts[-1] + j for j in row) for row in el.sections)
-        color, _, self.tables = _quotient((tuple(images), tuple(sections)))
-        self.ids = [color[i] for i in starts]
+        tables, starts = _stack(elements)
+        color, _, tables = _quotient(tables)
+        self.tables = tuple(map(_tuples, tables))
+        self.ids = color[starts].tolist()
         self.cls: dict[tuple[int, int], int] = {}
 
     def successors(self, pair: tuple[int, int]) -> list[tuple[int, int]]:
@@ -326,7 +343,8 @@ class _Pool:
         new_sections = tuple(
             tuple(local[s] if self.cls[s] < 0 else self.cls[s] for s in self.successors(pair)) for pair in pairs
         )
-        color, _, self.tables = _quotient((images + new_images, sections + new_sections))
+        color, _, tables = _quotient((images + new_images, sections + new_sections))
+        self.tables, color = tuple(map(_tuples, tables)), color.tolist()
         for pair in pairs:
             self.cls[pair] = color[local[pair]]
 
@@ -396,7 +414,8 @@ def compute_nucleus(
                 gen_elements=gen_elements,
             )
 
-    elements = tuple(sorted((_bfs_root(pool.tables, m) for m in members), key=lambda e: e.sort_key))
+    tables = tuple(map(_array, pool.tables))
+    elements = tuple(sorted((_bfs_root(tables, m) for m in members), key=lambda e: e.sort_key))
 
     ids = list(dict.fromkeys([*pool.ids, *members]))
     roots = [(p, q) for p in ids for q in ids]

@@ -11,11 +11,14 @@ graphs export byte-identical streams.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .schreier import ResourceCapError, SimplicialGraph
 
 MATRIX_LIMIT = 4096
+
+
+def _escape(text: str) -> str:
+    """XML character data: &, < and > escaped in that order, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _rows(graph):
@@ -75,13 +78,13 @@ def _graphml_text(graph, root: int | None) -> str:
         lines.append('  <key id="root" for="node" attr.name="root" attr.type="boolean"/>')
     lines.append(f'  <graph id="G" edgedefault="{"undirected" if simple else "directed"}">')
     for i, label in enumerate(graph.labels):
-        datum = f'<data key="label">{escape(label)}</data>'
+        datum = f'<data key="label">{_escape(label)}</data>'
         if i == root:
             datum += '<data key="root">true</data>'
         lines.append(f'    <node id="v{i}">{datum}</node>')
     for src, dst, gen in _rows(graph):
         edge = f'    <edge source="v{src}" target="v{dst}"'
-        tail = "/>" if gen is None else f'><data key="gen">{escape(gen)}</data></edge>'
+        tail = "/>" if gen is None else f'><data key="gen">{_escape(gen)}</data></edge>'
         lines.append(edge + tail)
     lines.append("  </graph>")
     lines.append("</graphml>")

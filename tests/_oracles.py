@@ -3,10 +3,10 @@
 Everything here is deliberately naive: direct interpretation of recursion
 documents, union-find over explicit edge lists, path search by plain
 memoized recursion, partition refinement by one tuple signature per state
-and round ranked in a dict, the nucleus closure as one canonical product
-per pair of elements, and the recurrence test over a ball of canonical
-products. No code is shared with the library's vectorized, peeled or
-pooled implementations.
+and round ranked in a dict, canonical elements built one tuple state and one
+letter at a time, the nucleus closure as one canonical product per pair of
+elements, and the recurrence test over a ball of canonical products. No code
+is shared with the library's vectorized, peeled or pooled implementations.
 """
 
 import functools
@@ -80,6 +80,116 @@ def refine_by_signatures(perm_keys, sections) -> tuple[list[int], int]:
         if count2 == count:
             return color2, count2
         color, count = color2, count2
+
+
+def product_by_tuples(factors, root):
+    """Tables of the state tuples reachable from root, one tuple and one letter at a time.
+
+    Position i of a tuple holds a state of factors[i]; the last position
+    reads the input first. Tuples are numbered in discovery order, root first.
+    """
+    # tuples are keyed last position first, the order in which the action reads them
+    back = factors[::-1]
+    order = [root[::-1]]
+    number = {order[0]: 0}
+    images = []
+    sections = []
+    for t in order:
+        rows = [(imgs[q], secs[q]) for (imgs, secs), q in zip(back, t)]
+        image_row = []
+        section_row = []
+        for x in range(len(rows[0][0])):
+            y = x
+            sec = []
+            for img, row in rows:
+                sec.append(row[y])
+                y = img[y]
+            nxt = tuple(sec)
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+            image_row.append(y)
+            section_row.append(number[nxt])
+        images.append(tuple(image_row))
+        sections.append(tuple(section_row))
+    return tuple(images), tuple(sections)
+
+
+def quotient_by_tuples(tables):
+    """Quotient by refine_by_signatures: each state's class, each class's first member, class tables."""
+    images, sections = tables
+    color, _ = refine_by_signatures(images, sections)
+    # classes are numbered by first occurrence: class c appears after classes 0..c-1
+    reps = []
+    for i, c in enumerate(color):
+        if c == len(reps):
+            reps.append(i)
+    class_images = tuple(images[r] for r in reps)
+    class_sections = tuple(tuple(color[j] for j in sections[r]) for r in reps)
+    return color, reps, (class_images, class_sections)
+
+
+def inverse_rows_by_tuples(tables):
+    """Inverse rows: state i of the result is q_i^-1; section indices name the inverses."""
+    images, sections = tables
+    inv_images = []
+    inv_sections = []
+    for img, row in zip(images, sections):
+        inv = [0] * len(img)
+        for x, y in enumerate(img):
+            inv[y] = x
+        inv_images.append(tuple(inv))
+        inv_sections.append(tuple(row[x] for x in inv))
+    return tuple(inv_images), tuple(inv_sections)
+
+
+def bfs_root_by_tuples(tables, root) -> CanonicalElement:
+    """Renumber the part reachable from root in breadth-first order, one queue entry at a time."""
+    images, sections = tables
+    order = [root]
+    number = {root: 0}
+    for q in order:
+        for j in sections[q]:
+            if j not in number:
+                number[j] = len(order)
+                order.append(j)
+    return CanonicalElement(
+        len(images[0]),
+        tuple(images[i] for i in order),
+        tuple(tuple(number[j] for j in sections[i]) for i in order),
+    )
+
+
+def canonical_by_tuples(tables, root) -> CanonicalElement:
+    color, _, quotient = quotient_by_tuples(tables)
+    return bfs_root_by_tuples(quotient, color[root])
+
+
+def canonicalize_by_tuples(gw) -> CanonicalElement:
+    """Canonical element of a group word over the states of an automaton without inverses."""
+    aut = gw.generators[0].automaton
+    assert not aut.inverse_closed
+    if not gw.factors:
+        return CanonicalElement.identity(aut.alphabet.size)
+    # the inverse of state i is state i + m
+    m = len(aut)
+    images = tuple(p.images for p in aut.perms)
+    inv_images, inv_sections = inverse_rows_by_tuples((images, aut.sections))
+    tables = (images + inv_images, aut.sections + tuple(tuple(j + m for j in row) for row in inv_sections))
+    root = tuple(gw.generators[pos].index + (0 if exp == 1 else m) for pos, exp in gw.factors)
+    return canonical_by_tuples(product_by_tuples([tables] * len(root), root), 0)
+
+
+def mul_by_tuples(a: CanonicalElement, b: CanonicalElement) -> CanonicalElement:
+    return canonical_by_tuples(product_by_tuples([(a.perms, a.sections), (b.perms, b.sections)], (0, 0)), 0)
+
+
+def inverse_by_tuples(a: CanonicalElement) -> CanonicalElement:
+    return bfs_root_by_tuples(inverse_rows_by_tuples((a.perms, a.sections)), 0)
+
+
+def state_element_by_tuples(a: CanonicalElement, i: int) -> CanonicalElement:
+    return bfs_root_by_tuples((a.perms, a.sections), i)
 
 
 def words_upto(k: int, n: int):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import selfsim
-from selfsim import cli_main
+from selfsim import cli, cli_main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 DEMOS = PYPROJECT.parent / "demos"
@@ -161,6 +161,19 @@ def test_nucleus_bound_exceeded_is_data(capsys):
     assert lines[0] == "verdict: bound-exceeded"
     assert "reason: elements" in lines
     assert any(line.startswith("seen: ") for line in lines)
+
+
+def test_parser_built_once_keeps_no_defaults_between_calls(capsys):
+    bounded = ("nucleus", "--catalog", "aleshin", "--max-elements", "50")
+    plain = ("nucleus", "--catalog", "aleshin")
+    fresh = {}
+    for argv in (bounded, plain):
+        cli._build_parser.cache_clear()
+        fresh[argv] = _run(capsys, *argv)
+    cli._build_parser.cache_clear()
+    assert [_run(capsys, *argv) for argv in (bounded, plain)] == [fresh[bounded], fresh[plain]]
+    assert fresh[bounded] != fresh[plain]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_check_single_entry(capsys):

@@ -13,6 +13,7 @@ from selfsim import (
     act_word,
     canonicalize,
     catalog_get,
+    compute_nucleus,
     invert,
     inverse_state,
     minimize,
@@ -367,7 +368,15 @@ def test_kernel_tables_hold_python_ints():
     color, count = refine_partition(images, sections)
     assert type(count) is int and all(type(c) is int for c in color)
     _, aut, gens = _basilica()
-    assert all(type(c) is int for c in minimize(aut)[1])
-    el = canonicalize(GroupWord(tuple(gens), ((0, 1), (1, -1), (0, 1))))
-    for g in (el, el * el, el * el.inverse()):
-        assert all(type(v) is int for rows in (g.perms, g.sections) for row in rows for v in row)
+    small, assignment = minimize(aut)
+    closed = invert(aut)
+    assert all(type(c) is int for c in assignment)
+    tables = [small.sections, closed.sections, tuple(p.images for p in closed.perms)]
+    rng = random.Random(100)
+    el = canonicalize(GroupWord(tuple(gens), tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(100))))
+    assert el.size > 10
+    elements = [el, el * el, el.inverse(), el * el.inverse(), el.section((0, 1)), el.state_element(el.size - 1)]
+    elements += compute_nucleus(gens).elements
+    for g in elements:
+        tables += [g.perms, g.sections]
+    assert all(type(v) is int for rows in tables for row in rows for v in row)

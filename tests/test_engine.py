@@ -28,9 +28,13 @@ from selfsim.core import _inverse_rows
 from selfsim.engine import _canonical
 
 from ._oracles import (
+    canonicalize_by_tuples,
+    inverse_by_tuples,
+    mul_by_tuples,
     nucleus_by_products,
     recurrence_by_products,
     recurrent_nodes,
+    state_element_by_tuples,
     word_act,
     words_upto,
 )
@@ -467,3 +471,41 @@ def test_table_kernel_against_oracles_on_generated_automata():
             again, identity = minimize(small)
             assert again == small
             assert identity == tuple(range(len(small)))
+
+
+def _random_kernel_document(rng, k, m, bounded):
+    # bounded: sections lead to s0 but at one letter at most, so products of long words stay small
+    names = [f"s{i}" for i in range(m)]
+    states = []
+    for i, name in enumerate(names):
+        row = [names[0]] * k if bounded else [rng.choice(names) for _ in range(k)]
+        if bounded and i:
+            row[rng.randrange(k)] = rng.choice(names)
+        states.append(StateDef(name, Permutation(tuple(rng.sample(range(k), k))), tuple(row)))
+    return RecursionDocument(k, tuple(states), tuple(names))
+
+
+def test_array_kernel_matches_tuple_oracle_on_generated_automata():
+    # word lengths 1 and non-powers of two take the doubling scan through its edge cases
+    rng = random.Random(13)
+    for k in (1, 2, 3, 5):
+        for m in range(1, 7):
+            for bounded in (True, False):
+                _, gens = to_automaton(_random_kernel_document(rng, k, m, bounded))
+                previous = CanonicalElement.identity(k)
+                for length in (1, 2, 3, 5, 8, 64, 127, 130) if bounded else (1, 2, 3):
+                    factors = tuple((rng.randrange(m), rng.choice((1, -1))) for _ in range(length))
+                    gw = GroupWord(tuple(gens), factors)
+                    el = canonicalize(gw)
+                    assert el == canonicalize_by_tuples(gw), (k, m, factors)
+                    assert el.inverse() == inverse_by_tuples(el)
+                    assert el * previous == mul_by_tuples(el, previous)
+                    assert previous * el == mul_by_tuples(previous, el)
+                    w = tuple(rng.randrange(k) for _ in range(rng.randint(0, 3)))
+                    below = 0
+                    for x in w:
+                        below = el.sections[below][x]
+                    assert el.section(w) == state_element_by_tuples(el, below)
+                    for i in rng.sample(range(el.size), min(3, el.size)):
+                        assert el.state_element(i) == state_element_by_tuples(el, i)
+                    previous = el

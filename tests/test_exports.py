@@ -1,6 +1,7 @@
 """Export formats: exact texts, round trips, determinism, caps."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -21,6 +22,7 @@ from selfsim import (
     word,
     BoundaryPoint,
 )
+from selfsim.exports import _escape
 
 from ._oracles import arrow_rows
 
@@ -199,3 +201,8 @@ def test_labels_stay_distinct_over_more_than_ten_letters():
         assert all(word(label) == level.vertex_word(i) for i, label in enumerate(level.labels))
     comp, at = pointed_component(gens, build_schreier(gens, 1).labels[10], 1)
     assert comp.labels[at] == "10."
+
+
+def test_escape_matches_saxutils():
+    for text in ("a<b>&c", "&lt;", "<&>", ">>&&<<", "&amp;<>", "plain", "", "x&y<z>w & <q>"):
+        assert _escape(text) == escape(text)
