@@ -17,15 +17,16 @@ The operations on raw automaton tables (product, quotient, inverse rows,
 breadth-first reachability and the recurrent-node peel) are written once
 here and shared with the engine's canonical elements, the Schreier level
 tables and the boundary-point equivalence graphs. Breadth-first
-reachability takes any hashable node: table states, pool pairs, state sets.
+reachability takes any hashable node: table states, state sets.
 
 Product, quotient and inverse rows compute on (n, k) int64 numpy tables and
 take tuple tables too. A product finds its state tuples a frontier at a time:
 one gather of the positions' output rows, their prefix compositions by a
 doubling scan of ceil(log2 L) steps, one gather of the sections, and new
 tuples numbered by first occurrence of their bytes. A quotient is Moore
-refinement in numpy rounds with keys below n^2, classes numbered by first
-occurrence, its class tables fancy-indexed.
+refinement in numpy rounds, one int64 key and one rank per round, classes
+numbered by first occurrence, its class tables fancy-indexed. The recurrent
+peel drops nodes in numpy rounds too.
 """
 
 from __future__ import annotations
@@ -371,24 +372,29 @@ def _reachable(
     return order, number
 
 
-def _recurrent(successors: Sequence[Sequence[int]]) -> list[int]:
+def _recurrent(successors: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
     """Nodes reachable from a cycle, self-loops included, in ascending order.
 
-    Kahn's peel: drop nodes that no remaining node points to until none is
-    left to drop, counting repeated edges with multiplicity. The nodes left
-    are exactly those that end arbitrarily long paths.
+    Kahn's peel in numpy rounds: drop the nodes that no remaining node points
+    to, counting repeated edges with multiplicity, until none is left to drop;
+    a round costs the edges of the nodes it drops. The nodes left are exactly
+    those that end arbitrarily long paths. Rows are lists or the rows of an
+    array, where entries below 0 are no edge.
     """
-    indegree = [0] * len(successors)
-    for row in successors:
-        for j in row:
-            indegree[j] += 1
-    peeled = [i for i, d in enumerate(indegree) if not d]
-    for i in peeled:
-        for j in successors[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                peeled.append(j)
-    return [i for i, d in enumerate(indegree) if d]
+    n = len(successors)
+    if not isinstance(successors, np.ndarray):
+        width = np.fromiter(map(len, successors), np.int64, n)
+        rows = np.full((n, width.max(initial=0)), -1)
+        rows[np.arange(rows.shape[1]) < width[:, None]] = list(itertools.chain.from_iterable(successors))
+        successors = rows
+    indegree = np.bincount(successors[successors >= 0], minlength=n)
+    drop = np.flatnonzero(indegree == 0)
+    while len(drop):
+        heads = successors[drop].ravel()
+        hit, times = np.unique(heads[heads >= 0], return_counts=True)
+        indegree[hit] -= times
+        drop = hit[indegree[hit] == 0]
+    return np.flatnonzero(indegree).tolist()
 
 
 @functools.cache
@@ -422,9 +428,11 @@ def refine_partition(
     """Coarsest partition where classes share output rows and map sections to classes.
 
     Moore rounds until the class count stops growing: the output rows (entries
-    below k), then the rows (color[i], color[sections[i][0]], ...), are ranked
-    one column at a time by np.unique, keys below n * max(n, k). Classes are
-    numbered by first occurrence; two states share one iff they act alike.
+    below k), then the rows (color[i], color[sections[i][0]], ...), are folded
+    into one int64 key per state, each column one more digit in radix
+    max(count, k), and ranked by np.unique. A key that would reach 2^62 is
+    ranked first, which compresses it below n. Classes are numbered by first
+    occurrence; two states share one iff they act alike.
     """
     if not len(perm_keys):
         return [], 0
@@ -432,14 +440,19 @@ def refine_partition(
     n, k = images.shape
     color, count, columns = np.zeros(n, dtype=np.int64), 0, images.T
     while True:
-        refined = color
+        radix, key, span = max(count, k), color, max(count, 1)
         for col in columns:
-            classes, refined = np.unique(refined * max(count, k) + col, return_inverse=True)
+            if span * radix > 1 << 62:
+                classes, key = np.unique(key, return_inverse=True)
+                span = len(classes)
+            key, span = key * radix, span * radix
+            key += col
+        classes, refined = np.unique(key, return_inverse=True)
         if len(classes) == count:
             _, first = np.unique(color, return_index=True)
             return np.argsort(np.argsort(first))[color].tolist(), count
         color, count = refined, len(classes)
-        columns = color[successors.T]
+        columns = (color[col] for col in successors.T)
 
 
 def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:

@@ -13,24 +13,24 @@ the recurrent sections of the generators and their inverses, then fold in
 the recurrent sections of all pairwise products until stable or a bound
 trips. Recurrent sections of a finite-state element are the states
 reachable through a cycle of its automaton. The closure keeps every
-element it meets as one state of a pool, a single table of pairwise
+element it meets as one state of a pool, a single numpy table of pairwise
 distinct elements, so an element is an int and a product of two is a node
-of the pool's pair graph. Recurrent sections of products are the pairs
-behind a cycle of that graph, and each pair is interned once, by one
-quotient of the pool with the new pairs; the depth certificate walks the
-pool states below the interned root pairs. The recurrence test searches its
-ball of words on a pool too, so every search over products of elements runs
-on pool states and none canonicalizes a product on its own.
+of the pool's pair graph, kept in arrays: sorted pair keys, successor pairs
+and pool states. The closure, its depth certificate and the recurrence test
+explore it a frontier of pairs at a time and place new pairs with one
+quotient of the pool per batch. The closure's batches double, so there are
+logarithmically many quotients. No product is canonicalized on its own.
 
 The table operations behind canonical elements run on numpy tables: product,
 quotient and inverse rows in selfsim.core, the breadth-first renumbering here,
 a frontier at a time. A CanonicalElement's tuples are built once, when it is
-made; the pool keeps tuple tables.
+made.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +55,21 @@ from .core import (
 )
 
 
+def _frontiers(roots: np.ndarray, meet: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """roots, then breadth first what meet returns: meet maps a frontier to the nodes it meets first."""
+    order = [roots]
+    while len(order[-1]):
+        order.append(meet(order[-1]))
+    return np.concatenate(order)
+
+
+def _unseen(met: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The nodes of met that seen does not mark, in order of first occurrence; marks them."""
+    new = np.fromiter(dict.fromkeys(met[~seen[met]].tolist()), np.int64)
+    seen[new] = True
+    return new
+
+
 def _bfs_root(tables: Tables | Arrays, root: int) -> "CanonicalElement":
     """Renumber the part reachable from root in breadth-first order.
 
@@ -64,12 +79,7 @@ def _bfs_root(tables: Tables | Arrays, root: int) -> "CanonicalElement":
     images, sections = map(_array, tables)
     seen = np.zeros(len(images), dtype=bool)
     seen[root] = True
-    order = [np.array([root])]
-    while len(order[-1]):
-        met = sections[order[-1]].ravel()
-        order.append(np.fromiter(dict.fromkeys(met[~seen[met]].tolist()), np.int64))
-        seen[order[-1]] = True
-    order = np.concatenate(order)
+    order = _frontiers(np.array([root]), lambda frontier: _unseen(sections[frontier].ravel(), seen))
     number = np.empty(len(images), dtype=np.int64)
     number[order] = np.arange(len(order))
     return CanonicalElement(images.shape[1], _tuples(images[order]), _tuples(number[sections[order]]))
@@ -294,64 +304,114 @@ class NotContractingError(RuntimeError):
     """The operation needs a contracting nucleus but none was certified."""
 
 
+# a pair (p, q) of pool states is keyed p << 32 | q; a sorted index ends in a sentinel above every key
+_LOW = (1 << 32) - 1
+_SENTINEL = np.iinfo(np.int64).max
+
+
+def _find(keys: np.ndarray, at: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """at[i] where keys[i] equals the query key, element by element, or -1; keys sorted."""
+    pos = np.searchsorted(keys, query)
+    found = at[pos]
+    found[keys[pos] != query] = -1
+    return found
+
+
+def _merge(keys: np.ndarray, at: np.ndarray, new: np.ndarray, number: np.ndarray) -> Arrays:
+    """The sorted index keys/at with the sorted keys new joined, numbered number."""
+    slot = np.searchsorted(keys, new)
+    slot += np.arange(len(new))
+    old = np.ones(len(keys) + len(new), dtype=bool)
+    old[slot] = False
+    merged = np.empty(len(old), dtype=keys.dtype), np.empty(len(old), dtype=at.dtype)
+    merged[0][slot], merged[0][old] = new, keys
+    merged[1][slot], merged[1][old] = number, at
+    return merged
+
+
 class _Pool:
     """Pairwise distinct elements as the states of one (images, sections) table.
 
-    The pair (p, q) of pool states stands for the product p q; in the pair
-    graph its successors are (p|_{q(x)}, q|_x), one per letter x. cls maps
-    every pair met to its pool state once intern() has placed it, and to -1
-    before.
+    The pair (p, q) of pool states stands for the product p q and is keyed
+    p << 32 | q; in the pair graph its successors are (p|_{q(x)}, q|_x), one
+    per letter x. Pairs are numbered as they are met. succ holds each pair's
+    successor numbers and cls its pool state, -1 until place() puts it
+    there; keys holds the keys in sorted order and at the number of each.
     """
 
     def __init__(self, elements: Sequence[CanonicalElement]) -> None:
         tables, starts = _stack(elements)
-        color, _, tables = _quotient(tables)
-        self.tables = tuple(map(_tuples, tables))
-        self.ids = color[starts].tolist()
-        self.cls: dict[tuple[int, int], int] = {}
-
-    def successors(self, pair: tuple[int, int]) -> list[tuple[int, int]]:
-        images, sections = self.tables
-        p, q = pair
-        return [(sections[p][y], sections[q][x]) for x, y in enumerate(images[q])]
+        color, _, (self.images, self.sections) = _quotient(tables)
+        self.ids = color[starts]
+        # pair numbers and pool states fit in int32, which halves most of the pair store
+        self.cls = np.empty(0, dtype=np.int32)
+        self.succ = np.empty((0, self.images.shape[1]), dtype=np.int32)
+        self.keys, self.at = np.array([_SENTINEL]), np.array([-1], dtype=np.int32)
 
     @classmethod
     def seeded(cls, named: Sequence[tuple[str, CanonicalElement]], k: int) -> "_Pool":
         """The pool of the identity, then each generator and its inverse: ids in that order."""
         return cls([CanonicalElement.identity(k), *(g for _, el in named for g in (el, el.inverse()))])
 
-    def explore(self, roots: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-        """The pairs reachable from roots that were not met before, breadth first."""
-        new, _ = _reachable(
-            lambda pair: [s for s in self.successors(pair) if s not in self.cls],
-            [root for root in roots if root not in self.cls],
-        )
-        self.cls.update(dict.fromkeys(new, -1))
-        return new
+    def explore(self, roots: np.ndarray) -> int:
+        """Meet the pairs reachable from the root keys; those not met before are numbered from the result on.
 
-    def intern(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Place pairs in the pool; every successor of one is placed or among them.
+        Each frontier's new pairs are numbered in key order, in an index of the
+        batch's own that joins the pool's at the end.
+        """
+        start, k = len(self.cls), self.images.shape[1]
+        keys, at, rows = self.keys[-1:], self.at[-1:], []
+
+        def meet(met: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # the number of each key met, and the keys not met before, sorted
+            nonlocal keys, at
+            number = _find(self.keys, self.at, met)
+            miss = number < 0
+            number[miss] = _find(keys, at, met[miss])
+            miss = number < 0
+            new, base = np.sort(met[miss]), start + len(keys) - 1
+            new = np.concatenate((new[:1], new[1:][new[1:] != new[:-1]]))
+            number[miss] = np.searchsorted(new, met[miss]) + base
+            keys, at = _merge(keys, at, new, np.arange(base, base + len(new)))
+            return number, new
+
+        def successors(pairs: np.ndarray) -> np.ndarray:
+            # a letter at a time, which keeps the temporaries to the frontier's size
+            q = pairs & _LOW
+            met = [meet(self.sections[pairs >> 32, self.images[q, x]] << 32 | self.sections[q, x]) for x in range(k)]
+            rows.append(np.stack([number for number, _ in met], axis=1))
+            return np.concatenate([new for _, new in met])
+
+        _frontiers(meet(roots)[1], successors)
+        self.succ = np.concatenate((self.succ, *rows))
+        rows.clear()
+        self.cls = np.concatenate((self.cls, np.full(len(keys) - 1, -1, dtype=np.int32)))
+        self.keys, self.at = _merge(self.keys, self.at, keys[:-1], at[:-1])
+        return start
+
+    def place(self, placing: np.ndarray) -> None:
+        """Place the pairs that the mask placing marks; every successor of one is placed or marked.
 
         Classes of the quotient are numbered by first occurrence, so pool
         states keep their numbers and each new class is the next state.
         """
-        if not pairs:
+        if not placing.any():
             return
-        images, sections = self.tables
-        local = {pair: len(images) + i for i, pair in enumerate(pairs)}
-        new_images = tuple(tuple(images[p][y] for y in images[q]) for p, q in pairs)
-        new_sections = tuple(
-            tuple(local[s] if self.cls[s] < 0 else self.cls[s] for s in self.successors(pair)) for pair in pairs
-        )
-        color, _, tables = _quotient((images + new_images, sections + new_sections))
-        self.tables, color = tuple(map(_tuples, tables)), color.tolist()
-        for pair in pairs:
-            self.cls[pair] = color[local[pair]]
+        # the pairs placed in key order: their numbers and keys
+        pick = placing[self.at[:-1]]
+        n, new, pairs = len(self.images), self.at[:-1][pick], self.keys[:-1][pick]
+        self.cls[new] = np.arange(n, n + len(new))
+        color, _, (self.images, self.sections) = _quotient((
+            np.concatenate((self.images, self.images[(pairs >> 32)[:, None], self.images[pairs & _LOW]])),
+            np.concatenate((self.sections, self.cls[self.succ[new]])),
+        ))
+        self.cls[new] = color[n:]
 
-    def add(self, roots: Iterable[tuple[int, int]]) -> None:
-        """Explore from roots, then place every pair met and not placed yet."""
+    def add(self, roots: np.ndarray) -> np.ndarray:
+        """Explore from the root keys, place every pair met and not placed yet; the roots' pool states."""
         self.explore(roots)
-        self.intern([pair for pair, c in self.cls.items() if c < 0])
+        self.place(self.cls < 0)
+        return self.cls[_find(self.keys, self.at, roots)]
 
 
 def compute_nucleus(
@@ -361,52 +421,47 @@ def compute_nucleus(
 
     Members start as the recurrent sections of S: the identity, the
     generators and their inverses. The recurrent sections of a product l r
-    of members are the pairs behind a cycle of the pair graph below (l, r),
-    so the closure explores pairs of members in the order the members
-    joined, about one pool's worth of new pairs per batch, interns the
-    batch's newly recurrent pairs as members, and stops as soon as there are
-    more than max_elements. The certificate interns every pair below
-    (S u N)^2 and walks the pool states below them: a state in N needs
-    level 0, any other state and every root one level more than its
-    sections need. A need above max_depth, or a cycle of states outside N,
-    is bound-exceeded.
+    of members are the pairs behind a cycle of the pair graph below (l, r).
+    The closure takes the root pairs of the next members in the order they
+    joined, every pair of members with one of them among those, until there
+    are as many roots as pool states or pairs met so far, so batches double.
+    It explores them, places the pairs behind the batch's cycles in the pool
+    as members, and stops as soon as there are more than max_elements. The
+    certificate places every pair below (S u N)^2 and gives each pool state
+    a need: a state in N needs level 0, any other state and every root one
+    level more than its sections need. A need above max_depth, or a cycle of
+    states outside N, is bound-exceeded.
     """
     if not gens:
         raise ValueError("need at least one generator")
+    if max_elements < 0 or max_depth < 0:
+        raise ValueError("max_elements and max_depth must not be negative")
     k = gens[0].automaton.alphabet.size
     named = canonical_generators(gens)
     gen_elements = tuple(named)
     pool = _Pool.seeded(named, k)
     # every pool state is a section of S, so the recurrent ones are S's recurrent sections
-    members = _recurrent(pool.tables[1])
+    members = _recurrent(pool.sections)
     member_set = set(members)
-
-    todo: list[tuple[int, int]] = []
-    batch: list[tuple[int, int]] = []
-    i = 0
-    while todo or i < len(members):
-        if not todo:
-            c = members[i]
-            todo = [*((d, c) for d in members[:i]), *((c, d) for d in members[:i]), (c, c)]
-            i += 1
-        batch += pool.explore([todo.pop()])
-        if len(batch) < len(pool.tables[0]) and (todo or i < len(members)):
-            continue
-        # older pairs never lead to new ones, so a cycle through a new pair lies in
-        # the batch, and what newly lies behind a cycle is reachable from those
-        number = {pair: n for n, pair in enumerate(batch)}
-        cycles = _recurrent([[number[s] for s in pool.successors(pair) if s in number] for pair in batch])
-        fresh, _ = _reachable(
-            lambda pair: [s for s in pool.successors(pair) if pool.cls[s] < 0], [batch[n] for n in cycles]
-        )
-        pool.intern(fresh)
-        batch = []
-        # members join one at a time, and the one that passes the bound is the witness
-        bound = max(len(members), max_elements)
-        for pair in fresh:
-            if pool.cls[pair] not in member_set:
-                member_set.add(pool.cls[pair])
-                members.append(pool.cls[pair])
+    # members join a batch at a time, and the one that passes the bound is the witness
+    bound = max(len(members), max_elements)
+    done = 0
+    while done < len(members):
+        # the least end with end^2 - done^2 roots at least the pool states and the pairs met
+        end = min(len(members), math.isqrt(done * done + max(len(pool.images), len(pool.cls)) - 1) + 1)
+        ids = np.array(members[:end], dtype=np.int64)
+        start = pool.explore(np.concatenate([(ids[done:, None] << 32 | ids).ravel(),
+                                             (ids[:done, None] << 32 | ids[done:]).ravel()]))
+        done = end
+        # older pairs never lead to new ones, so a cycle through a new pair lies among
+        # them, and what newly lies behind a cycle is reachable from those
+        cycles = np.array(_recurrent(pool.succ[start:] - start), dtype=np.int64) + start
+        seen = pool.cls >= 0
+        seen[cycles] = True
+        fresh = _frontiers(cycles, lambda frontier: _unseen(pool.succ[frontier].ravel(), seen))
+        pool.place(np.logical_and(seen, pool.cls < 0, out=seen))
+        members += [s for s in dict.fromkeys(pool.cls[fresh].tolist()) if s not in member_set]
+        member_set.update(members)
         if len(members) > bound:
             return NucleusResult(
                 "bound-exceeded", None, None, max_elements, max_depth,
@@ -414,36 +469,28 @@ def compute_nucleus(
                 gen_elements=gen_elements,
             )
 
-    tables = tuple(map(_array, pool.tables))
-    elements = tuple(sorted((_bfs_root(tables, m) for m in members), key=lambda e: e.sort_key))
+    elements = tuple(sorted((_bfs_root((pool.images, pool.sections), m) for m in members), key=lambda e: e.sort_key))
 
-    ids = list(dict.fromkeys([*pool.ids, *members]))
-    roots = [(p, q) for p in ids for q in ids]
-    pool.add(roots)
-    sections = pool.tables[1]
-    tops = list(dict.fromkeys(pool.cls[root] for root in roots))
-    states, _ = _reachable(sections.__getitem__, tops)
-    # need[s]: the least level below state s at which every section is in N
-    need = {s: 0 for s in states if s in member_set}
-    rest = [s for s in states if s not in need]
+    ids = np.array(list(dict.fromkeys([*pool.ids.tolist(), *members])), dtype=np.int64)
+    tops = pool.add((ids[:, None] << 32 | ids).ravel())
+    # need[s]: the least level below state s at which every section is in N, -1 while unknown
+    need = np.full(len(pool.images), -1)
+    need[members] = 0
     for level in range(1, max_depth):
-        done = [s for s in rest if all(t in need for t in sections[s])]
-        if not done:
+        rest = np.flatnonzero(need < 0)
+        ready = rest[(need[pool.sections[rest]] >= 0).all(axis=1)]
+        if not len(ready):
             break
-        need.update(dict.fromkeys(done, level))
-        rest = [s for s in rest if s not in need]
-    depth = 1
-    for top in tops:
-        below = [need.get(t) for t in sections[top]]
-        if None in below:
-            return NucleusResult(
-                "bound-exceeded", None, None, max_elements, max_depth,
-                witness_count=len(elements), reason="depth",
-                gen_elements=gen_elements,
-            )
-        depth = max(depth, 1 + max(below))
+        need[ready] = level
+    below = need[pool.sections[tops]]
+    if (below < 0).any():
+        return NucleusResult(
+            "bound-exceeded", None, None, max_elements, max_depth,
+            witness_count=len(elements), reason="depth",
+            gen_elements=gen_elements,
+        )
     return NucleusResult(
-        "contracting", elements, depth, max_elements, max_depth,
+        "contracting", elements, max(1, 1 + int(below.max())), max_elements, max_depth,
         gen_elements=gen_elements,
     )
 
@@ -481,18 +528,18 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
 
     pool = _Pool.seeded(canonical_generators(gens), k)
     steps = pool.ids[1:]
-    targets = set(pool.ids[1::2])
+    targets = set(pool.ids[1::2].tolist())
     found: set[int] = set()
-    frontier = [pool.ids[0]]
-    ball = set(frontier)
-    # its own loop, not _reachable: the ball stops at max_word_length and the search at the first proof,
+    frontier = pool.ids[:1]
+    ball = np.zeros(len(pool.images), dtype=bool)
+    ball[frontier] = True
+    # its own loop, not _frontiers: the ball stops at max_word_length and the search at the first proof,
     # checked once per word length
     for _ in range(max_word_length):
-        pool.add([(e, s) for e in frontier for s in steps])
-        images, sections = pool.tables
-        frontier = [c for c in dict.fromkeys(pool.cls[e, s] for e in frontier for s in steps) if c not in ball]
-        ball.update(frontier)
-        found.update(sections[c][0] for c in frontier if images[c][0] == 0)
+        met = pool.add((frontier[:, None] << 32 | steps).ravel())
+        ball = np.concatenate((ball, np.zeros(len(pool.images) - len(ball), dtype=bool)))
+        frontier = _unseen(met, ball)
+        found.update(pool.sections[frontier[pool.images[frontier, 0] == 0], 0].tolist())
         if targets <= found:
             return RecurrenceVerdict("true")
     return RecurrenceVerdict("inconclusive", max_word_length)

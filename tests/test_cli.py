@@ -163,6 +163,22 @@ def test_nucleus_bound_exceeded_is_data(capsys):
     assert any(line.startswith("seen: ") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nucleus", "--catalog", "basilica", "--max-elements", "-1"),
+        ("nucleus", "--catalog", "basilica", "--max-depth", "-1"),
+        ("equiv", "--catalog", "basilica", "01^w", "10^w", "--max-elements", "-1"),
+        ("equiv", "--catalog", "basilica", "01^w", "10^w", "--max-depth", "-1"),
+    ],
+)
+def test_negative_nucleus_bounds_are_validation_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must not be negative" in err
+
+
 def test_parser_built_once_keeps_no_defaults_between_calls(capsys):
     bounded = ("nucleus", "--catalog", "aleshin", "--max-elements", "50")
     plain = ("nucleus", "--catalog", "aleshin")

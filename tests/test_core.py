@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from selfsim import (
@@ -283,11 +284,15 @@ def _generated_digraph(rng):
 def test_recurrent_matches_walk_oracle_on_generated_digraphs():
     assert _recurrent([]) == recurrent_nodes([]) == []
     assert _recurrent([[], []]) == recurrent_nodes([[], []]) == []
-    rng = random.Random(7)
+    rng, pad = random.Random(7), random.Random(8)
     for _ in range(200):
         kind, succ = _generated_digraph(rng)
         got = _recurrent(succ)
         assert got == recurrent_nodes(succ), (kind, succ)
+        # the same rows as an array, padded with entries below 0 that are no edge
+        width = max(map(len, succ), default=0) + pad.randint(0, 2)
+        padded = np.array([row + [-1 - pad.randrange(3)] * (width - len(row)) for row in succ], dtype=np.int64)
+        assert _recurrent(padded.reshape(len(succ), width)) == got
         if kind == "dag":
             assert got == []
         if kind == "cycle":

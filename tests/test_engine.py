@@ -24,8 +24,8 @@ from selfsim import (
     recurrent_sections,
     to_automaton,
 )
-from selfsim.core import _inverse_rows
-from selfsim.engine import _canonical
+from selfsim.core import _inverse_rows, _walk, refine_partition
+from selfsim.engine import _canonical, _Pool
 
 from ._oracles import (
     canonicalize_by_tuples,
@@ -390,14 +390,27 @@ def _random_bounded_document(rng):
     return RecursionDocument(k, tuple(states), tuple(names))
 
 
-def test_nucleus_matches_product_oracle_on_generated_automata():
+def test_nucleus_matches_product_oracle_on_generated_automata(monkeypatch):
+    batches = []
+    explore = _Pool.explore
+
+    def counted(self, roots):
+        batches.append(len(roots))
+        return explore(self, roots)
+
+    monkeypatch.setattr(_Pool, "explore", counted)
     rng = random.Random(20)
     outcomes = set()
+    most = 0
     for t in range(60):
         doc = (_random_document if t % 2 else _random_bounded_document)(rng)
         _, gens = to_automaton(doc)
-        bound, depth = rng.choice((3, 6, 12, 24)), rng.choice((1, 2, 3, 8))
+        bound, depth = rng.choice((3, 12, 48, 96)), rng.choice((1, 2, 3, 8))
+        batches.clear()
         res = compute_nucleus(gens, bound, depth)
+        if res.reason == "elements":
+            # a closure that passes its bound never reaches the certificate: one explore per batch
+            most = max(most, len(batches))
         ref = nucleus_by_products(gens, bound, depth)
         assert (res.verdict, res.reason, res.elements, res.depth, res.witness_count) == (
             ref.verdict, ref.reason, ref.elements, ref.depth, ref.witness_count
@@ -421,6 +434,8 @@ def test_nucleus_matches_product_oracle_on_generated_automata():
             deeper = compute_nucleus(gens, bound, 2 * depth)
             assert not deeper.is_contracting or deeper.depth > depth
     assert outcomes == {None, "elements", "depth"}
+    # the bounds reach past the first doublings of the closure's batches
+    assert most >= 3
 
 
 def test_is_recurrent_matches_product_oracle_on_generated_automata():
@@ -435,6 +450,50 @@ def test_is_recurrent_matches_product_oracle_on_generated_automata():
             assert (verdict.kind, verdict.word_length_bound) == (ref.kind, ref.word_length_bound)
             kinds.add(verdict.kind)
     assert kinds == {"true", "false", "inconclusive"}
+
+
+def test_pool_invariants_on_generated_automata(monkeypatch):
+    # the pool stays minimal, and every placed pair's state acts as its two factors composed
+    pools = []
+    init = _Pool.__init__
+
+    def recorded(self, elements):
+        init(self, elements)
+        pools.append(self)
+
+    monkeypatch.setattr(_Pool, "__init__", recorded)
+    rng = random.Random(31)
+    placed = 0
+    for t in range(24):
+        doc = (_random_document if t % 2 else _random_bounded_document)(rng)
+        _, gens = to_automaton(doc)
+        pools.clear()
+        compute_nucleus(gens, 48, 8)
+        is_recurrent(gens, 3)
+        for pool in pools:
+            n = len(pool.images)
+            assert refine_partition(pool.images, pool.sections) == (list(range(n)), n)
+            assert sorted(pool.at[:-1].tolist()) == list(range(len(pool.cls)))
+            for key, number in zip(pool.keys[:-1].tolist(), pool.at[:-1].tolist()):
+                state = int(pool.cls[number])
+                if state < 0:
+                    continue
+                placed += 1
+                left, right = key >> 32, key & 0xFFFFFFFF
+                for w in words_upto(doc.alphabet_size, 3):
+                    inner = _walk((pool.images, pool.sections), right, w)[0]
+                    assert _walk((pool.images, pool.sections), state, w)[0] == _walk(
+                        (pool.images, pool.sections), left, inner
+                    )[0]
+    assert placed
+
+
+def test_nucleus_bounds_must_not_be_negative():
+    _, _, gens = _load("basilica")
+    for bounds in ({"max_elements": -1}, {"max_depth": -1}):
+        with pytest.raises(ValueError, match="must not be negative"):
+            compute_nucleus(gens, **bounds)
+    assert compute_nucleus(gens, max_elements=0).reason == "elements"
 
 
 def test_table_kernel_against_oracles_on_generated_automata():
