@@ -35,7 +35,6 @@ from .engine import (
     NotContractingError,
     NucleusResult,
     RecurrenceVerdict,
-    canonical_generators,
     canonical_state,
     canonicalize,
     compute_nucleus,
@@ -102,7 +101,6 @@ __all__ = [
     "asymptotic_equivalent",
     "automaton_document",
     "build_schreier",
-    "canonical_generators",
     "canonical_state",
     "canonicalize",
     "catalog_get",

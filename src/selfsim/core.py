@@ -292,6 +292,12 @@ def _tuples(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows.T.tolist()))
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array, by a sort and a neighbour compare: numpy 2.3 on hashes there, many times slower."""
+    keys = np.sort(keys)
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+
+
 def _inverse_rows(tables: Tables | Arrays) -> Arrays:
     """Inverse rows: state i of the result is q_i^-1, with q^-1|_y = (q|_{sigma_q^-1(y)})^-1.
 

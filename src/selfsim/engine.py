@@ -14,9 +14,10 @@ the recurrent sections of all pairwise products until stable or a bound
 trips. Recurrent sections of a finite-state element are the states
 reachable through a cycle of its automaton. The closure keeps every
 element it meets as one state of a pool, a single numpy table of pairwise
-distinct elements, so an element is an int and a product of two is a node
-of the pool's pair graph, kept in arrays: sorted pair keys, successor pairs
-and pool states. The closure, its depth certificate and the recurrence test
+distinct elements that starts as the automaton's own inverse-closed table,
+root by root. So an element is an int and a product of two is a node of the
+pool's pair graph, kept in arrays: sorted pair keys, successor pairs and
+pool states. The closure, its depth certificate and the recurrence test
 explore it a frontier of pairs at a time and place new pairs with one
 quotient of the pool per batch. The closure's batches double, so there are
 logarithmically many quotients. No product is canonicalized on its own.
@@ -43,6 +44,7 @@ from .core import (
     StateRef,
     Tables,
     _array,
+    _distinct,
     _inverse_rows,
     _product_tables,
     _quotient,
@@ -83,14 +85,6 @@ def _bfs_root(tables: Tables | Arrays, root: int) -> "CanonicalElement":
     number = np.empty(len(images), dtype=np.int64)
     number[order] = np.arange(len(order))
     return CanonicalElement(images.shape[1], _tuples(images[order]), _tuples(number[sections[order]]))
-
-
-def _stack(elements: Sequence["CanonicalElement"]) -> tuple[Arrays, np.ndarray]:
-    """One table of the elements' states, each element's after the one before, and where each starts."""
-    starts = np.cumsum([0, *(el.size for el in elements)])[:-1]
-    images = np.concatenate([_array(el.perms) for el in elements])
-    sections = np.concatenate([_array(el.sections) + start for el, start in zip(elements, starts)])
-    return (images, sections), starts
 
 
 def _canonical(tables: Tables | Arrays, root: int) -> "CanonicalElement":
@@ -150,7 +144,10 @@ class CanonicalElement:
             return NotImplemented
         if self.k != other.k:
             raise ValueError("elements act on different alphabets")
-        return _canonical(_product_tables(*_stack([self, other])), 0)
+        # one table of both elements' states, other's after self's
+        images = np.concatenate((_array(self.perms), _array(other.perms)))
+        sections = np.concatenate((_array(self.sections), _array(other.sections) + self.size))
+        return _canonical(_product_tables((images, sections), [0, self.size]), 0)
 
     def inverse(self) -> "CanonicalElement":
         # the inverse rows of a minimal reachable table are minimal and reachable too
@@ -160,10 +157,7 @@ class CanonicalElement:
         if n == 0:
             return CanonicalElement.identity(self.k)
         base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return _canonical(_product_tables((base.perms, base.sections), [0] * abs(n)), 0)
 
     def __repr__(self) -> str:
         return f"CanonicalElement(k={self.k}, states={self.size})"
@@ -224,10 +218,6 @@ def canonicalize(gw: GroupWord) -> CanonicalElement:
         for pos, exp in gw.factors
     )
     return _canonical(_product_tables(_tables(aut), factor_states), 0)
-
-
-def canonical_generators(gens: Sequence[StateRef]) -> list[tuple[str, CanonicalElement]]:
-    return [(g.name, canonical_state(g)) for g in gens]
 
 
 def recurrent_sections(e: CanonicalElement) -> list[CanonicalElement]:
@@ -332,6 +322,8 @@ def _merge(keys: np.ndarray, at: np.ndarray, new: np.ndarray, number: np.ndarray
 class _Pool:
     """Pairwise distinct elements as the states of one (images, sections) table.
 
+    It starts as the inverse closure's rows each root reaches, root after
+    root, minimized; ids holds the roots' states: identity, g1, g1^-1, ....
     The pair (p, q) of pool states stands for the product p q and is keyed
     p << 32 | q; in the pair graph its successors are (p|_{q(x)}, q|_x), one
     per letter x. Pairs are numbered as they are met. succ holds each pair's
@@ -339,19 +331,28 @@ class _Pool:
     there; keys holds the keys in sorted order and at the number of each.
     """
 
-    def __init__(self, elements: Sequence[CanonicalElement]) -> None:
-        tables, starts = _stack(elements)
-        color, _, (self.images, self.sections) = _quotient(tables)
-        self.ids = color[starts]
+    def __init__(self, gens: Sequence[StateRef]) -> None:
+        aut = gens[0].automaton
+        if any(g.automaton is not aut and g.automaton != aut for g in gens):
+            raise ValueError("all generators must come from one automaton")
+        aut = invert(aut)
+        assert aut.inverse_index is not None
+        images, sections = map(_array, _tables(aut))
+        e, k = images.shape
+        # row e is the identity
+        images, sections = np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
+        roots = [e, *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
+        below = sections.tolist().__getitem__
+        order = np.concatenate([_reachable(below, [r])[0] for r in roots])
+        # a state met by several roots has a row in each; sections point at its first
+        row = np.full(e + 1, len(order))
+        np.minimum.at(row, order, np.arange(len(order)))
+        color, _, (self.images, self.sections) = _quotient((images[order], row[sections[order]]))
+        self.ids = color[row[roots]]
         # pair numbers and pool states fit in int32, which halves most of the pair store
         self.cls = np.empty(0, dtype=np.int32)
         self.succ = np.empty((0, self.images.shape[1]), dtype=np.int32)
         self.keys, self.at = np.array([_SENTINEL]), np.array([-1], dtype=np.int32)
-
-    @classmethod
-    def seeded(cls, named: Sequence[tuple[str, CanonicalElement]], k: int) -> "_Pool":
-        """The pool of the identity, then each generator and its inverse: ids in that order."""
-        return cls([CanonicalElement.identity(k), *(g for _, el in named for g in (el, el.inverse()))])
 
     def explore(self, roots: np.ndarray) -> int:
         """Meet the pairs reachable from the root keys; those not met before are numbered from the result on.
@@ -369,8 +370,7 @@ class _Pool:
             miss = number < 0
             number[miss] = _find(keys, at, met[miss])
             miss = number < 0
-            new, base = np.sort(met[miss]), start + len(keys) - 1
-            new = np.concatenate((new[:1], new[1:][new[1:] != new[:-1]]))
+            new, base = _distinct(met[miss]), start + len(keys) - 1
             number[miss] = np.searchsorted(new, met[miss]) + base
             keys, at = _merge(keys, at, new, np.arange(base, base + len(new)))
             return number, new
@@ -436,10 +436,9 @@ def compute_nucleus(
         raise ValueError("need at least one generator")
     if max_elements < 0 or max_depth < 0:
         raise ValueError("max_elements and max_depth must not be negative")
-    k = gens[0].automaton.alphabet.size
-    named = canonical_generators(gens)
-    gen_elements = tuple(named)
-    pool = _Pool.seeded(named, k)
+    pool = _Pool(gens)
+    tables = pool.images, pool.sections
+    gen_elements = tuple((g.name, _bfs_root(tables, i)) for g, i in zip(gens, pool.ids[1::2].tolist()))
     # every pool state is a section of S, so the recurrent ones are S's recurrent sections
     members = _recurrent(pool.sections)
     member_set = set(members)
@@ -519,15 +518,12 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     """
     if not gens:
         raise ValueError("need at least one generator")
-    aut = gens[0].automaton
-    k = aut.alphabet.size
-    perms = [aut.perms[g.index] for g in gens]
-    moves = [[p(x) for p in perms] + [p.inverse()(x) for p in perms] for x in range(k)]
-    if len(_reachable(moves.__getitem__, [0])[0]) < k:
+    pool = _Pool(gens)
+    steps = pool.ids[1:]
+    moves = pool.images[steps].T.tolist()
+    if len(_reachable(moves.__getitem__, [0])[0]) < len(moves):
         return RecurrenceVerdict("false")
 
-    pool = _Pool.seeded(canonical_generators(gens), k)
-    steps = pool.ids[1:]
     targets = set(pool.ids[1::2].tolist())
     found: set[int] = set()
     frontier = pool.ids[:1]

@@ -21,7 +21,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import _reachable, _recurrent, word, word_str
+from .core import _reachable, _recurrent, _tables, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -131,9 +131,7 @@ def _moore_tables(nucleus: NucleusResult):
     tables = vars(nucleus).get("_moore_tables")
     if tables is None:
         aut, index = nucleus.moore_automaton()
-        k = aut.alphabet.size
-        out = tuple(tuple(aut.perms[i](x) for x in range(k)) for i in range(len(aut)))
-        tables = k, out, aut.sections, tuple(sorted(index, key=index.get))
+        tables = aut.alphabet.size, *_tables(aut), tuple(sorted(index, key=index.get))
         # the result is frozen; the tables are derived data, not a field
         object.__setattr__(nucleus, "_moore_tables", tables)
     return tables

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Alphabet, MealyAutomaton, StateRef, _reachable, word, word_str
+from .core import Alphabet, MealyAutomaton, StateRef, _array, _distinct, _reachable, _tables, word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -49,24 +49,24 @@ def _check_cap(count: int, vertex_cap: int | None) -> None:
         )
 
 
-def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> dict[int, np.ndarray]:
-    """Image arrays on level n for the given states and all their sections."""
+def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> list[np.ndarray]:
+    """Image arrays on level n of the given states: rows of one table of the states they reach, grown by level.
+
+    The top level is grown for the given states only, so a graph keeps no other state's row.
+    """
     k = aut.alphabet.size
-    needed, _ = _reachable(aut.sections.__getitem__, indices)
-    size = k**n
-    dtype = np.int32 if size <= 2**31 - 1 else np.int64
-    tables = {i: np.zeros(1, dtype=dtype) for i in needed}
-    for level in range(1, n + 1):
-        block = k ** (level - 1)
-        nxt = {}
-        for i in needed:
-            parts = [
-                aut.perms[i](x) * block + tables[aut.sections[i][x]]
-                for x in range(k)
-            ]
-            nxt[i] = np.concatenate(parts)
-        tables = nxt
-    return tables
+    needed, number = _reachable(aut.sections.__getitem__, indices)
+    dtype = np.int32 if k**n <= 2**31 - 1 else np.int64
+    images = _array(_tables(aut)[0])[needed].astype(dtype)
+    sections = np.array([[number[j] for j in aut.sections[i]] for i in needed])
+    rows = [number[i] for i in indices]
+    table = np.zeros((len(needed), 1), dtype=dtype)
+    for level in range(n):
+        at = rows if level == n - 1 else slice(None)
+        table = table[sections[at]]
+        table += images[at, :, None] * k**level
+        table = table.reshape(len(table), -1)
+    return list(table if n else table[rows])
 
 
 def _vertex_labels(k: int, n: int, vertices: Sequence[int] | None = None) -> tuple[str, ...]:
@@ -93,7 +93,7 @@ def _vertex_labels(k: int, n: int, vertices: Sequence[int] | None = None) -> tup
 def _simple_edges(arrows, total: int) -> tuple[tuple[int, int], ...]:
     """Sorted edges (lo, hi), lo < hi, of the arrows in the (src, dst) array pairs.
 
-    Loops are dropped and parallel arrows merged by np.unique on lo * total + hi.
+    Loops are dropped and parallel arrows merged on the keys lo * total + hi.
     """
     keys = [np.empty(0, dtype=np.int64)]
     for src, dst in arrows:
@@ -101,7 +101,7 @@ def _simple_edges(arrows, total: int) -> tuple[tuple[int, int], ...]:
         hi = np.maximum(src, dst).astype(np.int64)
         keep = lo != hi
         keys.append(lo[keep] * total + hi[keep])
-    lo, hi = np.divmod(np.unique(np.concatenate(keys)), total)
+    lo, hi = np.divmod(_distinct(np.concatenate(keys)), total)
     return tuple(zip(lo.tolist(), hi.tolist()))
 
 
@@ -177,12 +177,11 @@ def build_schreier(
         if g.automaton != aut:
             raise ValueError("all generators must come from one automaton")
     _check_cap(aut.alphabet.size**n, vertex_cap)
-    tables = _level_tables(aut, [g.index for g in gens], n)
     return LabeledSchreierGraph(
         aut.alphabet.size,
         n,
         tuple(g.name for g in gens),
-        [tables[g.index] for g in gens],
+        _level_tables(aut, [g.index for g in gens], n),
     )
 
 

@@ -18,7 +18,6 @@ from selfsim import (
     NucleusResult,
     RecurrenceVerdict,
     RecursionDocument,
-    canonical_generators,
     canonical_state,
 )
 
@@ -339,7 +338,7 @@ def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) ->
     if not gens:
         raise ValueError("need at least one generator")
     k = gens[0].automaton.alphabet.size
-    named = canonical_generators(gens)
+    named = [(g.name, canonical_state(g)) for g in gens]
     seeds: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
     symmetric: dict[CanonicalElement, None] = {CanonicalElement.identity(k): None}
     for _, el in named:

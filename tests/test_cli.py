@@ -152,6 +152,18 @@ def test_nucleus_contracting_report(capsys):
     assert {"id", "a", "b", "a^-1", "b^-1"} <= set(names)
 
 
+def test_nucleus_leaves_out_states_the_generators_never_reach(tmp_path, capsys):
+    # z acts as the swap at every level: recurrent, and outside the basilica nucleus
+    reports = []
+    for text in (BASILICA_TEXT, BASILICA_TEXT.replace("gens a b", "z = (0 1)(z, z)\ngens a b")):
+        path = tmp_path / "automaton.txt"
+        path.write_text(text)
+        code, out, _ = _run(capsys, "nucleus", "--automaton", str(path))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
 def test_nucleus_bound_exceeded_is_data(capsys):
     code, out, _ = _run(
         capsys, "nucleus", "--catalog", "lamplighter", "--max-elements", "50"

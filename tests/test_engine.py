@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from selfsim import (
@@ -13,10 +14,10 @@ from selfsim import (
     RecursionDocument,
     StateDef,
     act_word,
-    canonical_generators,
     canonical_state,
     canonicalize,
     catalog_get,
+    catalog_list,
     compute_nucleus,
     invert,
     is_recurrent,
@@ -24,7 +25,7 @@ from selfsim import (
     recurrent_sections,
     to_automaton,
 )
-from selfsim.core import _inverse_rows, _walk, refine_partition
+from selfsim.core import _inverse_rows, _quotient, _walk, refine_partition
 from selfsim.engine import _canonical, _Pool
 
 from ._oracles import (
@@ -334,11 +335,19 @@ def test_moore_automaton_requires_contraction():
         res.moore_automaton()
 
 
-def test_canonical_generators_names():
+def test_nucleus_gen_elements_names():
     _, _, gens = _load("basilica")
-    named = canonical_generators(gens)
+    named = compute_nucleus(gens).gen_elements
     assert [n for n, _ in named] == ["a", "b"]
-    assert named[0][1] == canonical_state(gens[0])
+    assert [el for _, el in named] == [canonical_state(g) for g in gens]
+
+
+def test_generators_from_two_automata_are_rejected():
+    _, _, basilica = _load("basilica")
+    _, _, odometer = _load("odometer")
+    for run in (compute_nucleus, is_recurrent):
+        with pytest.raises(ValueError, match="one automaton"):
+            run([basilica[0], odometer[0]])
 
 
 def test_is_recurrent_verdicts(monkeypatch):
@@ -388,6 +397,47 @@ def _random_bounded_document(rng):
         row[rng.randrange(k)] = rng.choice(names)
         states.append(StateDef(name, Permutation(tuple(rng.sample(range(k), k))), tuple(row)))
     return RecursionDocument(k, tuple(states), tuple(names))
+
+
+def _document_with_strays(rng):
+    # the generators s<i> never reach the states t<i>, whose sections may lead anywhere
+    k = rng.choice((2, 3))
+    gens = [f"s{i}" for i in range(rng.randint(1, 3))]
+    names = gens + [f"t{i}" for i in range(rng.randint(1, 3))]
+    states = tuple(
+        StateDef(
+            name,
+            Permutation(tuple(rng.sample(range(k), k))),
+            tuple(rng.choice(gens if name in gens else names) for _ in range(k)),
+        )
+        for name in rng.sample(names, len(names))
+    )
+    return RecursionDocument(k, states, tuple(gens))
+
+
+def _stacked_pool(gens):
+    """The pool as the identity, then each generator and its inverse, canonical elements stacked and quotiented."""
+    elements = [CanonicalElement.identity(gens[0].automaton.alphabet.size)]
+    for g in gens:
+        el = canonical_state(g)
+        elements += [el, el.inverse()]
+    starts = np.cumsum([0, *(el.size for el in elements)])[:-1]
+    images = np.concatenate([el.perms for el in elements])
+    sections = np.concatenate([np.array(el.sections) + start for el, start in zip(elements, starts)])
+    color, _, (images, sections) = _quotient((images, sections))
+    return images, sections, color[starts]
+
+
+def test_pool_from_the_table_matches_stacked_canonical_elements():
+    rng = random.Random(41)
+    automata = [to_automaton(entry.document())[1] for entry in catalog_list()]
+    automata += [to_automaton(_document_with_strays(rng))[1] for _ in range(40)]
+    for gens in automata:
+        pool = _Pool(gens)
+        images, sections, ids = _stacked_pool(gens)
+        assert np.array_equal(pool.images, images)
+        assert np.array_equal(pool.sections, sections)
+        assert np.array_equal(pool.ids, ids)
 
 
 def test_nucleus_matches_product_oracle_on_generated_automata(monkeypatch):
@@ -568,3 +618,19 @@ def test_array_kernel_matches_tuple_oracle_on_generated_automata():
                     for i in rng.sample(range(el.size), min(3, el.size)):
                         assert el.state_element(i) == state_element_by_tuples(el, i)
                     previous = el
+
+
+def test_powers_match_repeated_products_on_generated_automata():
+    rng = random.Random(17)
+    for k in (1, 2, 3):
+        for m in range(1, 5):
+            for bounded in (True, False):
+                _, gens = to_automaton(_random_kernel_document(rng, k, m, bounded))
+                factors = tuple((rng.randrange(m), rng.choice((1, -1))) for _ in range(rng.randint(1, 2)))
+                el = canonicalize(GroupWord(tuple(gens), factors))
+                for n in range(-3, 6):
+                    base = el if n > 0 else inverse_by_tuples(el)
+                    expected = CanonicalElement.identity(k)
+                    for _ in range(abs(n)):
+                        expected = mul_by_tuples(expected, base)
+                    assert el**n == expected, (k, m, factors, n)

@@ -39,3 +39,28 @@ def test_every_public_name_has_a_user_path():
     files += [*sorted((ROOT / "demos").glob("*.py")), ROOT / "perfbench" / "tracer.py"]
     used = _readme_code().union(*map(_references, files))
     assert [name for name in selfsim.__all__ if name not in used] == []
+
+
+def test_every_module_import_is_used():
+    """A module-level import in src/selfsim is read in its module, so a deletion leaves no stale import.
+
+    A read is a loaded name, or a string that is one identifier: an __all__ entry or a quoted annotation.
+    """
+    unused = []
+    for path in sorted((ROOT / "src" / "selfsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                read.add(node.value)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
