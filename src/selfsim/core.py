@@ -251,6 +251,16 @@ class StateRef:
         return f"StateRef({self.name!r})"
 
 
+def _automaton_of(gens: Sequence[StateRef]) -> MealyAutomaton:
+    """The one automaton that all the generators come from."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    aut = gens[0].automaton
+    if any(g.automaton is not aut and g.automaton != aut for g in gens):
+        raise ValueError("all generators must come from one automaton")
+    return aut
+
+
 def act_word(state: StateRef, letters: Sequence[int] | str) -> tuple[int, ...]:
     """Image of a word under the state's tree action."""
     aut = state.automaton
@@ -355,7 +365,7 @@ def _product_tables(tables: Tables | Arrays, root: Sequence[int]) -> Arrays:
 def _quotient(tables: Tables | Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:
     """Quotient by refine_partition: each state's class, each class's first member, class tables."""
     images, sections = map(_array, tables)
-    color = np.array(refine_partition(images, sections)[0], dtype=np.int64)
+    color = refine_partition(images, sections)[0]
     # classes are numbered by first occurrence, so first members come in class order
     _, reps = np.unique(color, return_index=True)
     return color, reps, (images[reps], color[sections[reps]])
@@ -430,18 +440,18 @@ def inverse_state(state: StateRef) -> StateRef:
 
 def refine_partition(
     perm_keys: Sequence[tuple[int, ...]] | np.ndarray, sections: Sequence[tuple[int, ...]] | np.ndarray
-) -> tuple[list[int], int]:
+) -> tuple[np.ndarray, int]:
     """Coarsest partition where classes share output rows and map sections to classes.
 
     Moore rounds until the class count stops growing: the output rows (entries
     below k), then the rows (color[i], color[sections[i][0]], ...), are folded
     into one int64 key per state, each column one more digit in radix
     max(count, k), and ranked by np.unique. A key that would reach 2^62 is
-    ranked first, which compresses it below n. Classes are numbered by first
-    occurrence; two states share one iff they act alike.
+    ranked first, which compresses it below n. Classes come as an int64 array,
+    numbered by first occurrence; two states share one iff they act alike.
     """
     if not len(perm_keys):
-        return [], 0
+        return np.empty(0, dtype=np.int64), 0
     images, successors = _array(perm_keys), _array(sections)
     n, k = images.shape
     color, count, columns = np.zeros(n, dtype=np.int64), 0, images.T
@@ -456,7 +466,7 @@ def refine_partition(
         classes, refined = np.unique(key, return_inverse=True)
         if len(classes) == count:
             _, first = np.unique(color, return_index=True)
-            return np.argsort(np.argsort(first))[color].tolist(), count
+            return np.argsort(np.argsort(first))[color], count
         color, count = refined, len(classes)
         columns = (color[col] for col in successors.T)
 

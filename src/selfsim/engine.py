@@ -24,8 +24,8 @@ logarithmically many quotients. No product is canonicalized on its own.
 
 The table operations behind canonical elements run on numpy tables: product,
 quotient and inverse rows in selfsim.core, the breadth-first renumbering here,
-a frontier at a time. A CanonicalElement's tuples are built once, when it is
-made.
+a frontier at a time. A CanonicalElement holds its two tables as the bytes of
+(n, k) int64 arrays, so the kernel reads them back without a conversion.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .core import (
     StateRef,
     Tables,
     _array,
+    _automaton_of,
     _distinct,
     _inverse_rows,
     _product_tables,
@@ -51,7 +52,6 @@ from .core import (
     _reachable,
     _recurrent,
     _tables,
-    _tuples,
     _walk,
     invert,
 )
@@ -72,19 +72,19 @@ def _unseen(met: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return new
 
 
-def _bfs_root(tables: Tables | Arrays, root: int) -> "CanonicalElement":
+def _bfs_root(tables: Arrays, root: int) -> "CanonicalElement":
     """Renumber the part reachable from root in breadth-first order.
 
     Frontier by frontier: new states are numbered by first occurrence in the
     frontier's flattened section rows, the order a queue meets them in.
     """
-    images, sections = map(_array, tables)
+    images, sections = tables
     seen = np.zeros(len(images), dtype=bool)
     seen[root] = True
     order = _frontiers(np.array([root]), lambda frontier: _unseen(sections[frontier].ravel(), seen))
     number = np.empty(len(images), dtype=np.int64)
     number[order] = np.arange(len(order))
-    return CanonicalElement(images.shape[1], _tuples(images[order]), _tuples(number[sections[order]]))
+    return CanonicalElement(images.shape[1], images[order].tobytes(), number[sections[order]].tobytes())
 
 
 def _canonical(tables: Tables | Arrays, root: int) -> "CanonicalElement":
@@ -98,23 +98,25 @@ class CanonicalElement:
     """A tree automorphism in canonical form: root is state 0 of a minimal automaton.
 
     perms[i] is the output image row of state i and sections[i][x] the state
-    below letter x. Equality of instances is equality in the group.
+    below letter x: read-only (n, k) int64 views of the bytes it compares and
+    hashes by. Equality of instances is equality in the group.
     """
 
     k: int
-    perms: tuple[tuple[int, ...], ...]
-    sections: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        # hashed constantly by closure sets; the tables never change
-        object.__setattr__(self, "_hash", hash((self.k, self.perms, self.sections)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    image_bytes: bytes
+    section_bytes: bytes
 
     @classmethod
     def identity(cls, k: int) -> "CanonicalElement":
-        return cls(k, (tuple(range(k)),), ((0,) * k,))
+        return cls(k, np.arange(k, dtype=np.int64).tobytes(), np.zeros(k, dtype=np.int64).tobytes())
+
+    @property
+    def perms(self) -> np.ndarray:
+        return np.frombuffer(self.image_bytes, np.int64).reshape(-1, self.k)
+
+    @property
+    def sections(self) -> np.ndarray:
+        return np.frombuffer(self.section_bytes, np.int64).reshape(-1, self.k)
 
     @property
     def size(self) -> int:
@@ -122,14 +124,14 @@ class CanonicalElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.size == 1 and self.perms[0] == tuple(range(self.k)) and self.sections[0] == (0,) * self.k
+        return self == CanonicalElement.identity(self.k)
 
     @property
     def sort_key(self):
-        return (self.size, self.perms, self.sections)
+        return (self.size, self.perms.tolist(), self.sections.tolist())
 
     def act(self, letters: Sequence[int] | str) -> tuple[int, ...]:
-        return _walk((self.perms, self.sections), 0, Alphabet(self.k).check_word(letters))[0]
+        return tuple(map(int, _walk((self.perms, self.sections), 0, Alphabet(self.k).check_word(letters))[0]))
 
     def section(self, letters: Sequence[int] | str) -> "CanonicalElement":
         tables = (self.perms, self.sections)
@@ -145,8 +147,8 @@ class CanonicalElement:
         if self.k != other.k:
             raise ValueError("elements act on different alphabets")
         # one table of both elements' states, other's after self's
-        images = np.concatenate((_array(self.perms), _array(other.perms)))
-        sections = np.concatenate((_array(self.sections), _array(other.sections) + self.size))
+        images = np.concatenate((self.perms, other.perms))
+        sections = np.concatenate((self.sections, other.sections + self.size))
         return _canonical(_product_tables((images, sections), [0, self.size]), 0)
 
     def inverse(self) -> "CanonicalElement":
@@ -173,9 +175,7 @@ class GroupWord:
     def __post_init__(self) -> None:
         if not self.generators:
             raise ValueError("a word needs a generator basis")
-        aut = self.generators[0].automaton
-        if any(g.automaton is not aut and g.automaton != aut for g in self.generators):
-            raise ValueError("all generators must come from one automaton")
+        _automaton_of(self.generators)
         for pos, exp in self.factors:
             if not 0 <= pos < len(self.generators):
                 raise ValueError(f"factor index {pos} out of range")
@@ -278,7 +278,7 @@ class NucleusResult:
         index = {el: i for i, el in enumerate(self.elements)}
         k = self.elements[0].k
         names = tuple(self.element_names())
-        perms = tuple(Permutation(el.perms[0]) for el in self.elements)
+        perms = tuple(Permutation(tuple(el.perms[0].tolist())) for el in self.elements)
         sections = []
         for el in self.elements:
             row = []
@@ -332,10 +332,7 @@ class _Pool:
     """
 
     def __init__(self, gens: Sequence[StateRef]) -> None:
-        aut = gens[0].automaton
-        if any(g.automaton is not aut and g.automaton != aut for g in gens):
-            raise ValueError("all generators must come from one automaton")
-        aut = invert(aut)
+        aut = invert(_automaton_of(gens))
         assert aut.inverse_index is not None
         images, sections = map(_array, _tables(aut))
         e, k = images.shape
@@ -432,8 +429,6 @@ def compute_nucleus(
     level more than its sections need. A need above max_depth, or a cycle of
     states outside N, is bound-exceeded.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
     if max_elements < 0 or max_depth < 0:
         raise ValueError("max_elements and max_depth must not be negative")
     pool = _Pool(gens)
@@ -516,8 +511,8 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     the last length's new states with the generators and their inverses are
     added to the pool at once, so no product is canonicalized on its own.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
+    if max_word_length < 0:
+        raise ValueError("max_word_length must not be negative")
     pool = _Pool(gens)
     steps = pool.ids[1:]
     moves = pool.images[steps].T.tolist()

@@ -21,7 +21,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import _reachable, _recurrent, _tables, word, word_str
+from .core import _automaton_of, _reachable, _recurrent, _tables, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -285,9 +285,7 @@ def self_similarity_graph(gens: Sequence, depth: int, vertex_cap: int | None = N
     horizontal (generator action within a level) edges."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if not gens:
-        raise ValueError("need at least one generator")
-    aut = gens[0].automaton
+    aut = _automaton_of(gens)
     k = aut.alphabet.size
     total = sum(k**n for n in range(depth + 1))
     _check_cap(total, vertex_cap)

@@ -19,7 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .core import Alphabet, MealyAutomaton, StateRef, _array, _distinct, _reachable, _tables, word, word_str
+from .core import (
+    Alphabet, MealyAutomaton, StateRef, _array, _automaton_of, _distinct, _reachable, _tables, word, word_str,
+)
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -170,12 +172,7 @@ def build_schreier(
     """Level-n graph of the generators' action."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if not gens:
-        raise ValueError("need at least one generator")
-    aut = gens[0].automaton
-    for g in gens:
-        if g.automaton != aut:
-            raise ValueError("all generators must come from one automaton")
+    aut = _automaton_of(gens)
     _check_cap(aut.alphabet.size**n, vertex_cap)
     return LabeledSchreierGraph(
         aut.alphabet.size,

@@ -13,6 +13,8 @@ import functools
 import itertools
 from itertools import product
 
+import numpy as np
+
 from selfsim import (
     CanonicalElement,
     NucleusResult,
@@ -154,8 +156,8 @@ def bfs_root_by_tuples(tables, root) -> CanonicalElement:
                 order.append(j)
     return CanonicalElement(
         len(images[0]),
-        tuple(images[i] for i in order),
-        tuple(tuple(number[j] for j in sections[i]) for i in order),
+        np.array([images[i] for i in order], dtype=np.int64).tobytes(),
+        np.array([tuple(number[j] for j in sections[i]) for i in order], dtype=np.int64).tobytes(),
     )
 
 
@@ -179,16 +181,21 @@ def canonicalize_by_tuples(gw) -> CanonicalElement:
     return canonical_by_tuples(product_by_tuples([tables] * len(root), root), 0)
 
 
+def _lists(a: CanonicalElement):
+    """An element's tables as lists of rows of Python ints."""
+    return a.perms.tolist(), a.sections.tolist()
+
+
 def mul_by_tuples(a: CanonicalElement, b: CanonicalElement) -> CanonicalElement:
-    return canonical_by_tuples(product_by_tuples([(a.perms, a.sections), (b.perms, b.sections)], (0, 0)), 0)
+    return canonical_by_tuples(product_by_tuples([_lists(a), _lists(b)], (0, 0)), 0)
 
 
 def inverse_by_tuples(a: CanonicalElement) -> CanonicalElement:
-    return bfs_root_by_tuples(inverse_rows_by_tuples((a.perms, a.sections)), 0)
+    return bfs_root_by_tuples(inverse_rows_by_tuples(_lists(a)), 0)
 
 
 def state_element_by_tuples(a: CanonicalElement, i: int) -> CanonicalElement:
-    return bfs_root_by_tuples((a.perms, a.sections), i)
+    return bfs_root_by_tuples(_lists(a), i)
 
 
 def words_upto(k: int, n: int):

@@ -346,15 +346,16 @@ def _same_action(images, sections, i, j, depth):
 
 
 def test_refine_partition_matches_signature_oracle():
-    assert refine_partition([], []) == refine_by_signatures([], []) == ([], 0)
+    color, count = refine_partition([], [])
+    assert (color.tolist(), count) == refine_by_signatures([], []) == ([], 0)
+    assert color.dtype == np.int64
     rng = random.Random(11)
     for k in (1, 2, 3, 11):
         for n in (1, 2, 3, 4, 5, 6, 7, 10, 17, 40, 100, 300):
             for _ in range(3):
                 images, sections = _generated_table(rng, n, k)
-                got = refine_partition(images, sections)
-                assert got == refine_by_signatures(images, sections), (k, images, sections)
-                color, count = got
+                color, count = refine_partition(images, sections)
+                assert (color.tolist(), count) == refine_by_signatures(images, sections), (k, images, sections)
                 assert count == len(set(color))
                 if n <= 6 and k <= 3:
                     # Moore: inequivalent states differ on some word of length below n
@@ -363,25 +364,31 @@ def test_refine_partition_matches_signature_oracle():
         if k > 1:
             for n in (2, 6, 50, 300):
                 images, sections = _chain(n, k)
-                assert refine_partition(images, sections) == refine_by_signatures(images, sections)
-                assert refine_partition(images, sections) == (list(range(n)), n)
+                color, count = refine_partition(images, sections)
+                assert (color.tolist(), count) == refine_by_signatures(images, sections) == (list(range(n)), n)
 
 
 def test_kernel_tables_hold_python_ints():
-    # a leaked numpy scalar prints as np.int64(3) and hashes slowly in every tuple
+    # element tables are read-only int64 arrays; a numpy scalar leaked into a tuple prints as
+    # np.int64(3) and hashes slowly, so the tuples users read hold Python ints
     images, sections = _generated_table(random.Random(3), 40, 2)
     color, count = refine_partition(images, sections)
-    assert type(count) is int and all(type(c) is int for c in color)
+    assert type(count) is int and color.dtype == np.int64
     _, aut, gens = _basilica()
     small, assignment = minimize(aut)
     closed = invert(aut)
-    assert all(type(c) is int for c in assignment)
-    tables = [small.sections, closed.sections, tuple(p.images for p in closed.perms)]
+    nucleus = compute_nucleus(gens)
+    moore, _ = nucleus.moore_automaton()
+    rows = [assignment]
+    for table in (small, closed, moore):
+        rows += [*table.sections, *(p.images for p in table.perms)]
     rng = random.Random(100)
     el = canonicalize(GroupWord(tuple(gens), tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(100))))
     assert el.size > 10
-    elements = [el, el * el, el.inverse(), el * el.inverse(), el.section((0, 1)), el.state_element(el.size - 1)]
-    elements += compute_nucleus(gens).elements
+    elements = [el, el * el, el**3, el.inverse(), el * el.inverse(), el.section((0, 1)), el.state_element(el.size - 1)]
+    elements += nucleus.elements
     for g in elements:
-        tables += [g.perms, g.sections]
-    assert all(type(v) is int for rows in tables for row in rows for v in row)
+        for table in (g.perms, g.sections):
+            assert table.dtype == np.int64 and table.shape == (g.size, g.k) and not table.flags.writeable
+        rows.append(g.act((0, 1, 1, 0, 1)))
+    assert all(type(v) is int for row in rows for v in row)

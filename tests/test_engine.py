@@ -14,6 +14,7 @@ from selfsim import (
     RecursionDocument,
     StateDef,
     act_word,
+    build_schreier,
     canonical_state,
     canonicalize,
     catalog_get,
@@ -23,6 +24,7 @@ from selfsim import (
     is_recurrent,
     minimize,
     recurrent_sections,
+    self_similarity_graph,
     to_automaton,
 )
 from selfsim.core import _inverse_rows, _quotient, _walk, refine_partition
@@ -345,9 +347,45 @@ def test_nucleus_gen_elements_names():
 def test_generators_from_two_automata_are_rejected():
     _, _, basilica = _load("basilica")
     _, _, odometer = _load("odometer")
-    for run in (compute_nucleus, is_recurrent):
-        with pytest.raises(ValueError, match="one automaton"):
-            run([basilica[0], odometer[0]])
+    mixed = [basilica[0], odometer[0]]
+    for run in (
+        compute_nucleus,
+        is_recurrent,
+        lambda gens: build_schreier(gens, 2),
+        lambda gens: GroupWord(tuple(gens), ((0, 1),)),
+        lambda gens: self_similarity_graph(gens, 2),
+    ):
+        with pytest.raises(ValueError, match="all generators must come from one automaton"):
+            run(mixed)
+
+
+def test_elements_reached_by_different_routes_are_one_value():
+    _, _, gens = _load("basilica")
+    u = _gw(gens, (0, 1), (1, -1), (0, 1), (1, 1), (1, 1))
+    w = u * u * u
+    half = len(w.factors) // 2
+    el = canonicalize(w)
+    assert el.size > 1
+    routes = [
+        canonicalize(_gw(gens, *w.factors[:half])) * canonicalize(_gw(gens, *w.factors[half:])),
+        canonicalize(u) ** 3,
+        el.inverse().inverse(),
+        canonicalize_by_tuples(w),
+    ]
+    for other in routes:
+        assert other == el and hash(other) == hash(el)
+    assert len({el, *routes}) == 1
+    assert el not in {el.inverse(), canonicalize(u)}
+    for table in (el.perms, el.sections):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_is_recurrent_bound_must_not_be_negative():
+    _, _, gens = _load("basilica")
+    with pytest.raises(ValueError, match="max_word_length must not be negative"):
+        is_recurrent(gens, -1)
+    assert is_recurrent(gens, 0).kind == "inconclusive"
 
 
 def test_is_recurrent_verdicts(monkeypatch):
@@ -522,7 +560,8 @@ def test_pool_invariants_on_generated_automata(monkeypatch):
         is_recurrent(gens, 3)
         for pool in pools:
             n = len(pool.images)
-            assert refine_partition(pool.images, pool.sections) == (list(range(n)), n)
+            color, count = refine_partition(pool.images, pool.sections)
+            assert (color.tolist(), count) == (list(range(n)), n)
             assert sorted(pool.at[:-1].tolist()) == list(range(len(pool.cls)))
             for key, number in zip(pool.keys[:-1].tolist(), pool.at[:-1].tolist()):
                 state = int(pool.cls[number])
