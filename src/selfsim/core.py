@@ -326,7 +326,12 @@ def _product_tables(tables: Tables | Arrays, root: Sequence[int]) -> Arrays:
     so the last component touches the input word first, and sections follow
     the product rule componentwise. Tuples are numbered in breadth-first
     order, root first: a frontier's successors in (tuple, letter) order, as a
-    queue meets them.
+    queue meets them. Every tuple is reachable from the root, so the classes
+    of _quotient of the result, numbered by first occurrence, are numbered
+    breadth first from class 0 too: a class's first member is met at the first
+    member of the earliest class leading to it, at its least letter into it.
+    Engine products rely on this; canonical_state, section, state_element,
+    inverse and pool members are built otherwise and renumbered.
     """
     images, sections = map(_array, tables)
     k, e = images.shape[1], len(images)

@@ -24,8 +24,13 @@ logarithmically many quotients. No product is canonicalized on its own.
 
 The table operations behind canonical elements run on numpy tables: product,
 quotient and inverse rows in selfsim.core, the breadth-first renumbering here,
-a frontier at a time. A CanonicalElement holds its two tables as the bytes of
-(n, k) int64 arrays, so the kernel reads them back without a conversion.
+a frontier at a time. A product is numbered once: its tuples come breadth first
+from the root and the quotient numbers classes by first occurrence, which is
+breadth-first order on the classes, so canonicalize, products and powers take
+the quotient's tables as they are. Tables not built breadth first from their
+root are renumbered: canonical_state, section, state_element, inverse and the
+pool's members. A CanonicalElement holds its two tables as the bytes of (n, k)
+int64 arrays, so the kernel reads them back without a conversion.
 """
 
 from __future__ import annotations
@@ -93,6 +98,12 @@ def _canonical(tables: Tables | Arrays, root: int) -> "CanonicalElement":
     return _bfs_root(quotient, color[root])
 
 
+def _product(tables: Tables | Arrays, root: Sequence[int]) -> "CanonicalElement":
+    """The product of root's states as a canonical element: its quotient is already breadth first."""
+    images, sections = _quotient(_product_tables(tables, root))[2]
+    return CanonicalElement(images.shape[1], images.tobytes(), sections.tobytes())
+
+
 @dataclass(frozen=True)
 class CanonicalElement:
     """A tree automorphism in canonical form: root is state 0 of a minimal automaton.
@@ -149,17 +160,20 @@ class CanonicalElement:
         # one table of both elements' states, other's after self's
         images = np.concatenate((self.perms, other.perms))
         sections = np.concatenate((self.sections, other.sections + self.size))
-        return _canonical(_product_tables((images, sections), [0, self.size]), 0)
+        return _product((images, sections), [0, self.size])
 
     def inverse(self) -> "CanonicalElement":
         # the inverse rows of a minimal reachable table are minimal and reachable too
         return _bfs_root(_inverse_rows((self.perms, self.sections)), 0)
 
     def __pow__(self, n: int) -> "CanonicalElement":
-        if n == 0:
-            return CanonicalElement.identity(self.k)
-        base = self if n > 0 else self.inverse()
-        return _canonical(_product_tables((base.perms, base.sections), [0] * abs(n)), 0)
+        # by squaring: about 2 log2 |n| products of two
+        if n < 0:
+            return self.inverse() ** -n
+        if n < 2:
+            return self if n else CanonicalElement.identity(self.k)
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def __repr__(self) -> str:
         return f"CanonicalElement(k={self.k}, states={self.size})"
@@ -217,7 +231,7 @@ def canonicalize(gw: GroupWord) -> CanonicalElement:
         gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
         for pos, exp in gw.factors
     )
-    return _canonical(_product_tables(_tables(aut), factor_states), 0)
+    return _product(_tables(aut), factor_states)
 
 
 def recurrent_sections(e: CanonicalElement) -> list[CanonicalElement]:
@@ -279,15 +293,15 @@ class NucleusResult:
         k = self.elements[0].k
         names = tuple(self.element_names())
         perms = tuple(Permutation(tuple(el.perms[0].tolist())) for el in self.elements)
-        sections = []
-        for el in self.elements:
-            row = []
-            for x in range(k):
-                sec = el.section((x,))
-                row.append(index[sec])
-            sections.append(tuple(row))
-        aut = MealyAutomaton(Alphabet(k), names, perms, tuple(sections))
-        return aut, index
+        # one quotient of all the elements' tables, stacked; each root's section class is some root's class
+        starts = np.cumsum([0, *(el.size for el in self.elements)])[:-1]
+        color, _, (_, below) = _quotient((
+            np.concatenate([el.perms for el in self.elements]),
+            np.concatenate([el.sections + start for el, start in zip(self.elements, starts)]),
+        ))
+        element_of = dict(zip(color[starts].tolist(), range(len(self.elements))))
+        sections = tuple(tuple(map(element_of.__getitem__, row)) for row in below[color[starts]].tolist())
+        return MealyAutomaton(Alphabet(k), names, perms, sections), index
 
 
 class NotContractingError(RuntimeError):

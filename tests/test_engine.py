@@ -27,10 +27,11 @@ from selfsim import (
     self_similarity_graph,
     to_automaton,
 )
-from selfsim.core import _inverse_rows, _quotient, _walk, refine_partition
+from selfsim.core import _inverse_rows, _product_tables, _quotient, _tables, _walk, refine_partition
 from selfsim.engine import _canonical, _Pool
 
 from ._oracles import (
+    bfs_root_by_tuples,
     canonicalize_by_tuples,
     inverse_by_tuples,
     mul_by_tuples,
@@ -607,6 +608,17 @@ def test_table_kernel_against_oracles_on_generated_automata():
         expected = dict.fromkeys(cw.state_element(j) for j in recurrent_nodes(cw.sections))
         assert recurrent_sections(cw) == list(expected)
 
+        # products are numbered once: the quotient of a product already is in breadth-first order,
+        # also on a table where every state has a planted duplicate that the sections point at at random
+        images, sections = _tables(invert(aut))
+        m = len(images)
+        planted = (images * 2, tuple(tuple(j + m * rng.randrange(2) for j in row) for row in sections * 2))
+        for length in (1, 2, *range(5, 10)):
+            root = [rng.randrange(2 * m) for _ in range(length)]
+            quotient = _quotient(_product_tables(planted, root))[2]
+            numbered = CanonicalElement(len(images[0]), quotient[0].tobytes(), quotient[1].tobytes())
+            assert numbered == bfs_root_by_tuples(tuple(map(np.ndarray.tolist, quotient)), 0), root
+
         for original in (aut, invert(aut)):
             small, assignment = minimize(original)
             for st in original.states():
@@ -657,6 +669,19 @@ def test_array_kernel_matches_tuple_oracle_on_generated_automata():
                     for i in rng.sample(range(el.size), min(3, el.size)):
                         assert el.state_element(i) == state_element_by_tuples(el, i)
                     previous = el
+
+
+def test_odometer_powers_add_on_long_words():
+    # powers by squaring stay small for exponents no product tuple could be as wide as
+    _, _, gens = _load("odometer")
+    a = canonical_state(gens[0])
+    rng = random.Random(5)
+    for n in (10**4, 2**40, 10**9 + 7):
+        up, down = a**n, a**-n
+        for value in (0, rng.randrange(2**48), 2**48 - 1):
+            letters = [value >> i & 1 for i in range(48)]
+            for power, total in ((up, value + n), (down, value - n)):
+                assert power.act(letters) == tuple(total % 2**48 >> i & 1 for i in range(48)), (n, value)
 
 
 def test_powers_match_repeated_products_on_generated_automata():
