@@ -9,8 +9,15 @@ of expected-property tuples that `check_entry` evaluates with the engine:
     ("not_contracting_within", max_el, max_d)   bound-exceeded verdict expected
     ("special", name)                     named element identity, see _SPECIALS
     ("free_reduced_upto", length)         no reduced word up to length is trivial
-    ("order2_generators",)                every declared generator squares to 1
-    ("recurrent", expected)               level-1 transitive self-replication verdict
+    ("order2_generators",)                every declared generator equals its inverse
+    ("recurrent", expected)               is_recurrent decides expected, not inconclusive
+
+free_reduced_upto counts the spheres of the word ball through radius
+ceil(length / 2) against the free group's 2m(2m-1)^(n-1) on m generators.
+They agree exactly when no nontrivial reduced word of length up to twice
+the radius is trivial, so it checks lengths up to `length` rounded up to
+even. order2_generators holds when each generator shares its pool state,
+an element, with its inverse.
 
 Entries whose recursion is standard literature material rather than part of
 the source collection are flagged from_paper=False.
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 from .core import MealyAutomaton, Permutation, StateRef
 from .dsl import RecursionDocument, StateDef, parse, serialize, to_automaton
-from .engine import GroupWord, canonical_state, canonicalize, compute_nucleus, is_recurrent
+from .engine import GroupWord, _Pool, canonical_state, canonicalize, compute_nucleus, is_recurrent
 from .schreier import build_schreier, connected_components
 
 
@@ -177,6 +184,7 @@ _add(
             ("connected_upto", 8),
             ("special", "aut882_stabilizer"),
             ("not_contracting_within", 100, 20),
+            ("recurrent", True),
         ),
     )
 )
@@ -203,6 +211,7 @@ _add(
             ("connected_upto", 8),
             ("order2_generators",),
             ("contracting", 10, 500, 12),
+            ("recurrent", True),
         ),
     )
 )
@@ -225,6 +234,7 @@ _add(
         expected=(
             ("connected_upto", 8),
             ("contracting", 4, 500, 12),
+            ("recurrent", True),
         ),
     )
 )
@@ -293,6 +303,7 @@ _add(
         expected=(
             ("connected_upto", 8),
             ("contracting", 8, 500, 12),
+            ("recurrent", True),
         ),
     )
 )
@@ -314,6 +325,7 @@ _add(
         expected=(
             ("connected_upto", 8),
             ("not_contracting_within", 100, 20),
+            ("recurrent", True),
         ),
     )
 )
@@ -339,6 +351,7 @@ _add(
         expected=(
             ("connected_upto", 8),
             ("not_contracting_within", 100, 20),
+            ("recurrent", True),
         ),
     )
 )
@@ -367,6 +380,7 @@ _add(
         expected=(
             ("connected_upto", 5),
             ("contracting", 8, 500, 12),
+            ("recurrent", True),
         ),
     )
 )
@@ -391,6 +405,7 @@ _add(
             ("connected_upto", 5),
             ("order2_generators",),
             ("contracting", 4, 500, 12),
+            ("recurrent", True),
         ),
     )
 )
@@ -419,6 +434,7 @@ _add(
             ("connected_upto", 8),
             ("order2_generators",),
             ("contracting", 5, 500, 12),
+            ("recurrent", True),
         ),
     )
 )
@@ -447,6 +463,7 @@ _add(
             ("connected_upto", 5),
             ("order2_generators",),
             ("contracting", 4, 500, 12),
+            ("recurrent", True),
         ),
     )
 )
@@ -511,6 +528,7 @@ for _d in (1, 2, 3):
                 expected=(
                     ("connected_upto", 5 if _m == 3 else 8),
                     ("not_contracting_within", 100, 12),
+                    ("recurrent", True),
                 ),
             )
         )
@@ -550,21 +568,6 @@ _SPECIALS["aut882_stabilizer"] = _special_aut882
 _SPECIALS["z2_commutator"] = _special_z2_commutator
 
 
-def _reduced_words(gens, length):
-    """Freely reduced words as tuples of (generator index, exponent)."""
-    letters = [(i, e) for i in range(len(gens)) for e in (1, -1)]
-    frontier = [(let,) for let in letters]
-    for word_len in range(1, length + 1):
-        yield from frontier
-        if word_len < length:
-            frontier = [
-                w + (let,)
-                for w in frontier
-                for let in letters
-                if not (let[0] == w[-1][0] and let[1] == -w[-1][1])
-            ]
-
-
 def check_entry(entry: CatalogEntry) -> list[tuple[str, bool]]:
     """Evaluate the entry's expected properties; returns (description, ok) pairs."""
     aut, gens = entry.automaton()
@@ -598,27 +601,18 @@ def check_entry(entry: CatalogEntry) -> list[tuple[str, bool]]:
             ok = _SPECIALS[prop[1]](aut, gens)
             results.append((f"special claim {prop[1]}", ok))
         elif kind == "free_reduced_upto":
-            length = prop[1]
-            basis = tuple(gens)
-            ok = True
-            for w in _reduced_words(gens, length):
-                if canonicalize(GroupWord(basis, w)).is_identity:
-                    ok = False
-                    break
+            length, m = prop[1], 2 * len(gens)
+            spheres = _Pool(gens).spheres(-(-length // 2))
+            ok = all(len(sphere) == m * (m - 1) ** n for n, sphere in enumerate(spheres))
             results.append((f"no trivial reduced word up to length {length}", ok))
         elif kind == "order2_generators":
-            basis = tuple(gens)
-            ok = all(
-                canonicalize(GroupWord(basis, ((i, 1), (i, 1)))).is_identity
-                for i in range(len(gens))
-            )
-            results.append(("all generators are involutions", ok))
+            ids = _Pool(gens).ids
+            results.append(("all generators are involutions", ids[1::2].tolist() == ids[2::2].tolist()))
         elif kind == "recurrent":
             expected = prop[1]
-            verdict = is_recurrent(gens)
-            results.append(
-                (f"recurrent action expected {expected}", bool(verdict) == expected)
-            )
+            # an inconclusive verdict meets neither expectation
+            ok = is_recurrent(gens).kind == ("true" if expected else "false")
+            results.append((f"recurrent action expected {expected}", ok))
         else:
             results.append((f"unknown property {kind}", False))
     return results

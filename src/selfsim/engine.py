@@ -17,18 +17,19 @@ element it meets as one state of a pool, a single numpy table of pairwise
 distinct elements that starts as the automaton's own inverse-closed table,
 root by root. So an element is an int and a product of two is a node of the
 pool's pair graph, kept in arrays: sorted pair keys, successor pairs and
-pool states. The closure, its depth certificate and the recurrence test
-explore it a frontier of pairs at a time and place new pairs with one
-quotient of the pool per batch. The closure's batches double, so there are
-logarithmically many quotients. No product is canonicalized on its own.
+pool states. The closure, its depth certificate and the word ball around the
+identity, whose spheres the recurrence test searches, explore it a frontier
+of pairs at a time and place new pairs with one quotient of the pool per
+batch. The closure's batches double, so there are logarithmically many
+quotients. No product is canonicalized on its own.
 
 The table operations behind canonical elements run on numpy tables: product,
 quotient and inverse rows in selfsim.core, the breadth-first renumbering here,
 a frontier at a time. A product is numbered once: its tuples come breadth first
 from the root and the quotient numbers classes by first occurrence, which is
-breadth-first order on the classes, so canonicalize, products and powers take
-the quotient's tables as they are. Tables not built breadth first from their
-root are renumbered: canonical_state, section, state_element, inverse and the
+breadth-first order on the classes, so canonicalize, canonical_state, products
+and powers take the quotient's tables as they are. Tables not built breadth
+first from their root are renumbered: section, state_element, inverse and the
 pool's members. A CanonicalElement holds its two tables as the bytes of (n, k)
 int64 arrays, so the kernel reads them back without a conversion.
 """
@@ -36,7 +37,8 @@ int64 arrays, so the kernel reads them back without a conversion.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,12 +92,6 @@ def _bfs_root(tables: Arrays, root: int) -> "CanonicalElement":
     number = np.empty(len(images), dtype=np.int64)
     number[order] = np.arange(len(order))
     return CanonicalElement(images.shape[1], images[order].tobytes(), number[sections[order]].tobytes())
-
-
-def _canonical(tables: Tables | Arrays, root: int) -> "CanonicalElement":
-    """Minimize raw action tables and canonicalize the state at root."""
-    color, _, quotient = _quotient(tables)
-    return _bfs_root(quotient, color[root])
 
 
 def _product(tables: Tables | Arrays, root: Sequence[int]) -> "CanonicalElement":
@@ -168,6 +164,7 @@ class CanonicalElement:
 
     def __pow__(self, n: int) -> "CanonicalElement":
         # by squaring: about 2 log2 |n| products of two
+        n = operator.index(n)
         if n < 0:
             return self.inverse() ** -n
         if n < 2:
@@ -217,7 +214,7 @@ class GroupWord:
 
 def canonical_state(state: StateRef) -> CanonicalElement:
     """Canonical element acting like a single automaton state."""
-    return _canonical(_tables(state.automaton), state.index)
+    return _product(_tables(state.automaton), [state.index])
 
 
 def canonicalize(gw: GroupWord) -> CanonicalElement:
@@ -424,6 +421,22 @@ class _Pool:
         self.place(self.cls < 0)
         return self.cls[_find(self.keys, self.at, roots)]
 
+    def spheres(self, radius: int) -> Iterator[np.ndarray]:
+        """Spheres 1 .. radius of the word ball around the identity over ids[1:], lazily.
+
+        Each is one add, of the last sphere's states times ids[1:], and holds
+        the new pool states in order of first occurrence. Pool states are
+        pairwise distinct elements, so the sizes are the group's growth.
+        """
+        sphere = self.ids[:1]
+        ball = np.zeros(len(self.images), dtype=bool)
+        ball[sphere] = True
+        for _ in range(radius):
+            met = self.add((sphere[:, None] << 32 | self.ids[1:]).ravel())
+            ball = np.concatenate((ball, np.zeros(len(self.images) - len(ball), dtype=bool)))
+            sphere = _unseen(met, ball)
+            yield sphere
+
 
 def compute_nucleus(
     gens: Sequence[StateRef], max_elements: int = 10000, max_depth: int = 20
@@ -520,31 +533,20 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     Checks level-1 transitivity, then looks for words that stabilize letter 0
     whose sections at 0 hit every generator class. Finding all of them proves
     recurrence; a nontransitive level-1 action refutes it; otherwise the
-    verdict is inconclusive at the given word length bound. The ball of words
-    is a set of pool states, grown one word length at a time: the pairs of
-    the last length's new states with the generators and their inverses are
-    added to the pool at once, so no product is canonicalized on its own.
+    verdict is inconclusive at the given word length bound. The words are the
+    pool's spheres, searched one word length at a time.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must not be negative")
     pool = _Pool(gens)
-    steps = pool.ids[1:]
-    moves = pool.images[steps].T.tolist()
+    moves = pool.images[pool.ids[1:]].T.tolist()
     if len(_reachable(moves.__getitem__, [0])[0]) < len(moves):
         return RecurrenceVerdict("false")
 
     targets = set(pool.ids[1::2].tolist())
     found: set[int] = set()
-    frontier = pool.ids[:1]
-    ball = np.zeros(len(pool.images), dtype=bool)
-    ball[frontier] = True
-    # its own loop, not _frontiers: the ball stops at max_word_length and the search at the first proof,
-    # checked once per word length
-    for _ in range(max_word_length):
-        met = pool.add((frontier[:, None] << 32 | steps).ravel())
-        ball = np.concatenate((ball, np.zeros(len(pool.images) - len(ball), dtype=bool)))
-        frontier = _unseen(met, ball)
-        found.update(pool.sections[frontier[pool.images[frontier, 0] == 0], 0].tolist())
+    for sphere in pool.spheres(max_word_length):
+        found.update(pool.sections[sphere[pool.images[sphere, 0] == 0], 0].tolist())
         if targets <= found:
             return RecurrenceVerdict("true")
     return RecurrenceVerdict("inconclusive", max_word_length)

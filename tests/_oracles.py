@@ -5,7 +5,9 @@ documents, union-find over explicit edge lists, path search by plain
 memoized recursion, partition refinement by one tuple signature per state
 and round ranked in a dict, canonical elements built one tuple state and one
 letter at a time, the nucleus closure as one canonical product per pair of
-elements, and the recurrence test over a ball of canonical products. No code
+elements, the recurrence test over a ball of canonical products, the word
+ball as words canonicalized one at a time, and freeness by enumerating
+reduced words. No code
 is shared with the library's vectorized, peeled or pooled implementations.
 """
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from selfsim import (
     CanonicalElement,
+    GroupWord,
     NucleusResult,
     RecurrenceVerdict,
     RecursionDocument,
@@ -454,3 +457,43 @@ def recurrence_by_products(gens, max_word_length: int = 8) -> RecurrenceVerdict:
                             return RecurrenceVerdict("true")
         frontier_elems = new_elems
     return RecurrenceVerdict("inconclusive", max_word_length)
+
+
+def spheres_by_words(gens, radius: int) -> list[list[CanonicalElement]]:
+    """Spheres 1 .. radius of the word ball, each word canonicalize_by_tuples'd on its own.
+
+    A sphere's elements are listed in the order its words are met: the last
+    sphere's words in order, each times g1, g1^-1, g2, g2^-1, ....
+    """
+    basis = tuple(gens)
+    letters = [(i, e) for i in range(len(gens)) for e in (1, -1)]
+    ball = {CanonicalElement.identity(gens[0].automaton.alphabet.size)}
+    words = [GroupWord(basis, ())]
+    spheres = []
+    for _ in range(radius):
+        sphere: dict[CanonicalElement, GroupWord] = {}
+        for w in words:
+            for letter in letters:
+                word = GroupWord(basis, w.factors + (letter,))
+                el = canonicalize_by_tuples(word)
+                if el not in ball:
+                    ball.add(el)
+                    sphere[el] = word
+        spheres.append(list(sphere))
+        words = list(sphere.values())
+    return spheres
+
+
+def reduced_words(n_gens: int, length: int):
+    """Freely reduced nonempty words up to length as tuples of (generator index, exponent)."""
+    letters = [(i, e) for i in range(n_gens) for e in (1, -1)]
+    frontier = [(let,) for let in letters]
+    for word_len in range(1, length + 1):
+        yield from frontier
+        if word_len < length:
+            frontier = [
+                w + (let,)
+                for w in frontier
+                for let in letters
+                if not (let[0] == w[-1][0] and let[1] == -w[-1][1])
+            ]

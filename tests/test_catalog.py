@@ -1,8 +1,16 @@
 """Built-in recursion catalog: entries, expected properties, mother family."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from selfsim import (
+    CatalogEntry,
+    GroupWord,
+    Permutation,
+    RecursionDocument,
+    StateDef,
     UnknownEntryError,
     catalog_get,
     catalog_list,
@@ -12,6 +20,8 @@ from selfsim import (
     serialize,
     to_automaton,
 )
+
+from ._oracles import canonicalize_by_tuples, reduced_words
 
 EXPECTED_KEYS = {
     "basilica",
@@ -158,3 +168,58 @@ def test_check_all_entries_pass():
     for entry in catalog_list():
         for description, ok in check_entry(entry):
             assert ok, (entry.key, description)
+
+
+def _checked(entry, *expected):
+    """The verdict of each expected property on the entry's recursion."""
+    return [ok for _, ok in check_entry(replace(entry, expected=expected))]
+
+
+def test_check_entry_negative_paths():
+    z2, grigorchuk = catalog_get("z2"), catalog_get("grigorchuk")
+    # z2's generators commute: distinct and of infinite order, but a b a^-1 b^-1 = 1
+    assert _checked(z2, ("free_reduced_upto", 2), ("free_reduced_upto", 4)) == [True, False]
+    assert _checked(grigorchuk, ("free_reduced_upto", 2)) == [False]
+    assert _checked(z2, ("order2_generators",)) == [False]
+    assert _checked(grigorchuk, ("order2_generators",)) == [True]
+
+
+def test_recurrent_expectation_needs_a_decided_verdict():
+    # is_recurrent is inconclusive on aleshin and virtually-z3 at its default length
+    assert _checked(catalog_get("aleshin"), ("recurrent", False)) == [False]
+    assert _checked(catalog_get("virtually-z3"), ("recurrent", False), ("recurrent", True)) == [False, False]
+    assert _checked(catalog_get("identity"), ("recurrent", False), ("recurrent", True)) == [True, False]
+    assert _checked(catalog_get("basilica"), ("recurrent", False), ("recurrent", True)) == [False, True]
+
+
+def _random_entry(rng):
+    # generators s<i> and an identity state e, so that involutions and short relations occur
+    k = rng.choice((2, 3))
+    gens = [f"s{i}" for i in range(rng.randint(1, 3))]
+    names = ["e", *gens]
+    states = [StateDef("e", Permutation(tuple(range(k))), ("e",) * k)]
+    states += [
+        StateDef(name, Permutation(tuple(rng.sample(range(k), k))), tuple(rng.choice(names) for _ in range(k)))
+        for name in gens
+    ]
+    doc = RecursionDocument(k, tuple(states), tuple(gens))
+    return CatalogEntry("generated", "generated", serialize(doc), "generated", False)
+
+
+def test_free_and_involution_checks_match_word_enumeration_on_generated_automata():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(40):
+        entry = _random_entry(rng)
+        _, gens = entry.automaton()
+        basis = tuple(gens)
+        lengths = (2, 4) if len(gens) < 3 else (2,)
+        checked = _checked(entry, ("order2_generators",), *(("free_reduced_upto", n) for n in lengths))
+        expected = [all(canonicalize_by_tuples(GroupWord(basis, ((i, 1), (i, 1)))).is_identity for i in range(len(gens)))]
+        expected += [
+            not any(canonicalize_by_tuples(GroupWord(basis, w)).is_identity for w in reduced_words(len(gens), n))
+            for n in lengths
+        ]
+        assert checked == expected, entry.text
+        outcomes.update(zip(("order2", *lengths), checked))
+    assert outcomes == {(name, ok) for name in ("order2", 2, 4) for ok in (True, False)}

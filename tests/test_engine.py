@@ -28,16 +28,18 @@ from selfsim import (
     to_automaton,
 )
 from selfsim.core import _inverse_rows, _product_tables, _quotient, _tables, _walk, refine_partition
-from selfsim.engine import _canonical, _Pool
+from selfsim.engine import _bfs_root, _Pool, _product
 
 from ._oracles import (
     bfs_root_by_tuples,
+    canonical_by_tuples,
     canonicalize_by_tuples,
     inverse_by_tuples,
     mul_by_tuples,
     nucleus_by_products,
     recurrence_by_products,
     recurrent_nodes,
+    spheres_by_words,
     state_element_by_tuples,
     word_act,
     words_upto,
@@ -123,6 +125,29 @@ def test_canonical_inverse_and_power():
     assert (a**0).is_identity
     for w in words_upto(2, 5):
         assert a.inverse().act(a.act(w)) == w
+
+
+def test_powers_take_integral_exponents_only():
+    _, aut, _ = _load("basilica")
+    a = canonical_state(aut.state("a"))
+    for n in (2.5, 3.0, "2"):
+        with pytest.raises(TypeError):
+            a**n
+    assert a ** np.int64(3) == a**3
+    assert a ** np.int32(-2) == a**-2
+    assert a**True == a
+    assert (a**False).is_identity
+
+
+def test_canonical_state_matches_tuple_oracle():
+    # every state of the catalog, and of generated automata, where equivalent states are common
+    rng = random.Random(3)
+    automata = [entry.automaton()[0] for entry in catalog_list()]
+    automata += [to_automaton(_random_document(rng))[0] for _ in range(40)]
+    for aut in automata:
+        tables = (tuple(p.images for p in aut.perms), aut.sections)
+        for st in aut.states():
+            assert canonical_state(st) == canonical_by_tuples(tables, st.index), (aut, st.name)
 
 
 def test_canonical_sections_follow_the_action():
@@ -541,6 +566,34 @@ def test_is_recurrent_matches_product_oracle_on_generated_automata():
     assert kinds == {"true", "false", "inconclusive"}
 
 
+def _sphere_sizes(gens, radius):
+    return [len(sphere) for sphere in _Pool(gens).spheres(radius)]
+
+
+def test_spheres_match_closed_forms():
+    # Aleshin's group is free of rank 3, z2 is Z^2 on a basis and the odometer Z
+    assert _sphere_sizes(_load("aleshin")[2], 7) == [6 * 5 ** (n - 1) for n in range(1, 8)]
+    assert _sphere_sizes(_load("z2")[2], 10) == [4 * n for n in range(1, 11)]
+    assert _sphere_sizes(_load("odometer")[2], 12) == [2] * 12
+    assert _sphere_sizes(_load("basilica")[2], 0) == []
+
+
+def test_spheres_match_word_oracle_on_generated_automata():
+    rng = random.Random(23)
+    sizes = set()
+    for t in range(40):
+        doc = (_random_document if t % 2 else _random_bounded_document)(rng)
+        _, gens = to_automaton(doc)
+        pool = _Pool(gens)
+        spheres = []
+        for sphere in pool.spheres(3):
+            spheres.append([_bfs_root((pool.images, pool.sections), s) for s in sphere.tolist()])
+        assert spheres == spheres_by_words(gens, 3), t
+        sizes.update(map(len, spheres))
+    # finite groups run out of spheres, and infinite ones keep growing
+    assert 0 in sizes and max(sizes) > 10
+
+
 def test_pool_invariants_on_generated_automata(monkeypatch):
     # the pool stays minimal, and every placed pair's state acts as its two factors composed
     pools = []
@@ -603,7 +656,7 @@ def test_table_kernel_against_oracles_on_generated_automata():
             assert cw.act(v) == word_act(doc, factors, v)
         assert canonicalize(u * w) == canonicalize(u) * cw
         assert canonicalize(w.inverse()) == cw.inverse()
-        assert cw.inverse() == _canonical(_inverse_rows((cw.perms, cw.sections)), 0)
+        assert cw.inverse() == _product(_inverse_rows((cw.perms, cw.sections)), [0])
         assert cw.inverse().inverse() == cw
         expected = dict.fromkeys(cw.state_element(j) for j in recurrent_nodes(cw.sections))
         assert recurrent_sections(cw) == list(expected)
