@@ -16,8 +16,9 @@ product the rightmost factor acts first, and sections obey
 The operations on raw automaton tables (product, quotient, inverse rows,
 breadth-first reachability and the recurrent-node peel) are written once
 here and shared with the engine's canonical elements, the Schreier level
-tables and the boundary-point equivalence graphs. Breadth-first
-reachability takes any hashable node: table states, state sets.
+tables and the boundary-point equivalence arrows. Breadth-first
+reachability walks table states through their section rows, or letters
+through the generators' images.
 
 Product, quotient and inverse rows compute on (n, k) int64 numpy tables and
 take tuple tables too. A product finds its state tuples a frontier at a time:
@@ -214,6 +215,14 @@ class MealyAutomaton:
         if self.inverse_closed:
             if self.inverse_index is None or len(self.inverse_index) != n:
                 raise ValueError("inverse_closed automaton needs a full inverse_index")
+            inv = np.array(self.inverse_index, dtype=np.int64)
+            if not ((0 <= inv) & (inv < n)).all():
+                raise ValueError("inverse_index entries must be state indices")
+            # state inv[i] must act as q_i^-1: the inverse output row, and sections the inverses of q_i's
+            images, sections = map(_array, _tables(self))
+            inv_images, inv_sections = _inverse_rows((images, sections))
+            if not ((images[inv] == inv_images).all() and (sections[inv] == inv[inv_sections]).all()):
+                raise ValueError("inverse_index must name a state acting as each state's inverse")
 
     @property
     def size(self) -> int:
@@ -393,21 +402,16 @@ def _reachable(
     return order, number
 
 
-def _recurrent(successors: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
+def _recurrent(successors: np.ndarray) -> list[int]:
     """Nodes reachable from a cycle, self-loops included, in ascending order.
 
     Kahn's peel in numpy rounds: drop the nodes that no remaining node points
     to, counting repeated edges with multiplicity, until none is left to drop;
     a round costs the edges of the nodes it drops. The nodes left are exactly
-    those that end arbitrarily long paths. Rows are lists or the rows of an
-    array, where entries below 0 are no edge.
+    those that end arbitrarily long paths. Row i of the (n, width) int array
+    lists node i's successors; entries below 0 are no edge.
     """
     n = len(successors)
-    if not isinstance(successors, np.ndarray):
-        width = np.fromiter(map(len, successors), np.int64, n)
-        rows = np.full((n, width.max(initial=0)), -1)
-        rows[np.arange(rows.shape[1]) < width[:, None]] = list(itertools.chain.from_iterable(successors))
-        successors = rows
     indegree = np.bincount(successors[successors >= 0], minlength=n)
     drop = np.flatnonzero(indegree == 0)
     while len(drop):

@@ -7,13 +7,19 @@ and its length-n prefix is the level-n vertex under the point.
 
 Two points ...x2 x1 and ...y2 y1 are equivalent when the nucleus Moore
 diagram carries a left-infinite path whose i-th edge from the end is
-labeled (x_i | y_i). For eventually periodic points this is decided
-exactly on a finite product graph (nucleus state, period phase).
+labeled (x_i | y_i). For eventually periodic points the path is a lasso:
+past level m, the longest preperiod, a state at a given period phase reads
+one letter and so has at most one arrow down, and a path that goes up
+forever lies on a cycle of these arrows from level m + 1 on. One phase-0
+cycle state therefore fixes the whole path, the preperiod states below it
+included. Deciding p ~ q keeps the arrows that write q and takes the least
+such state's lasso as the witness; the class of p keeps every arrow and
+collects what each lasso writes.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +27,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import _automaton_of, _reachable, _recurrent, _tables, word, word_str
+from .core import _array, _automaton_of, _recurrent, _tables, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -127,156 +133,77 @@ class EquivalenceWitness:
 
 
 def _moore_tables(nucleus: NucleusResult):
-    """(k, outputs, sections, elements) of the nucleus Moore diagram, built once per nucleus."""
+    """(k, outputs, sections) of the nucleus Moore diagram as arrays, built once per nucleus."""
     tables = vars(nucleus).get("_moore_tables")
     if tables is None:
-        aut, index = nucleus.moore_automaton()
-        tables = aut.alphabet.size, *_tables(aut), tuple(sorted(index, key=index.get))
+        aut, _ = nucleus.moore_automaton()
+        tables = aut.alphabet.size, *map(_array, _tables(aut))
         # the result is frozen; the tables are derived data, not a field
         object.__setattr__(nucleus, "_moore_tables", tables)
     return tables
 
 
+def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = None):
+    """The state paths that read p and write q (anything, when q is None), as lassos.
+
+    A lasso is (the states at levels 0..m, the states up the cycle from level
+    m + 1), m the longest preperiod. Past level m, node s + j * n, state s at
+    a level of phase j, has one arrow down to its section at p's letter, kept
+    when it writes q's letter there. A path that goes up forever lies on a
+    cycle of these arrows from level m + 1 on, so each phase-0 cycle node
+    fixes one path; they come least first.
+    """
+    k, out, sec = _moore_tables(nucleus)
+    points = (p,) if q is None else (p, q)
+    for point in points:
+        _check_point(point, k)
+    n = len(out)
+    m = max(len(point.preperiod) for point in points)
+    period = lcm(*(len(point.period) for point in points))
+
+    levels = range(m + 1, m + 1 + period)
+    x = [p.letter(i) for i in levels]
+    arrows = sec[:, x] + (np.arange(period) - 1) % period * n
+    if q is not None:
+        arrows[out[:, x] != [q.letter(i) for i in levels]] = -1
+    arrows = arrows.T.reshape(-1, 1)
+
+    # the anchors: phase-0 nodes, the first n, that lie on a cycle
+    for anchor in itertools.takewhile(lambda v: v < n, _recurrent(arrows)):
+        # the cycle read downward from the anchor, then upward
+        cycle = [anchor]
+        while (below := int(arrows[cycle[-1], 0])) != anchor:
+            cycle.append(below)
+        tail = [int(sec[anchor, x[0]])]
+        for i in range(m, 0, -1):
+            if q is not None and out[tail[-1], p.letter(i)] != q.letter(i):
+                break
+            tail.append(int(sec[tail[-1], p.letter(i)]))
+        else:
+            yield tail[::-1], [v % n for v in cycle[:1] + cycle[:0:-1]]
+
+
 def asymptotic_equivalent(
     nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint
 ) -> tuple[bool, EquivalenceWitness | None]:
-    """Decide p ~ q through the nucleus Moore diagram; return a witness when true."""
-    k, out, sec, elements = _moore_tables(nucleus)
-    _check_point(p, k)
-    _check_point(q, k)
-    nstates = len(elements)
-
-    m = max(len(p.preperiod), len(q.preperiod))
-    period = lcm(len(p.period), len(q.period))
-
-    # Valid-state sets walking out from the root through the preperiods.
-    levels = [set(range(nstates))]
-    for i in range(1, m + 1):
-        x, y = p.letter(i), q.letter(i)
-        cur = {s for s in range(nstates) if out[s][x] == y and sec[s][x] in levels[i - 1]}
-        if not cur:
-            return False, None
-        levels.append(cur)
-
-    # Product graph over the periodic zone: node s + j * nstates means state s
-    # at a level with phase j; when s outputs that level's letter it has one
-    # arrow down to its section. Live nodes lie behind a cycle, so they admit
-    # an infinite extension upward; with one arrow per node they are the cycle
-    # nodes, all of which output their letters.
-    pairs = [(p.letter(m + 1 + j), q.letter(m + 1 + j)) for j in range(period)]
-    below = [[] for _ in range(nstates * period)]
-    for j, (x, y) in enumerate(pairs):
-        for s in range(nstates):
-            if out[s][x] == y:
-                below[s + j * nstates].append(sec[s][x] + (j - 1) % period * nstates)
-    live = {(v % nstates, v // nstates) for v in _recurrent(below)}
-
-    anchors = sorted(s for s, j in live if j == 0 and sec[s][pairs[0][0]] in levels[m])
-    if not anchors:
+    """Decide p ~ q through the nucleus Moore diagram; the witness is the least anchor's lasso."""
+    lasso = next(_lassos(nucleus, p, q), None)
+    if lasso is None:
         return False, None
-
-    # Deterministic witness: minimal anchor, then minimal live parent at each
-    # step upward until the (state, phase) pair repeats.
-    node = (anchors[0], 0)
-    seq = [node]
-    seen = {node: 0}
-    while True:
-        s, j = node
-        jp = (j + 1) % period
-        xp = pairs[jp][0]
-        parent = min(sp for sp in range(nstates) if (sp, jp) in live and sec[sp][xp] == s)
-        node = (parent, jp)
-        if node in seen:
-            entry = seen[node]
-            break
-        seen[node] = len(seq)
-        seq.append(node)
-
-    down = [None] * (m + 1)
-    state = sec[anchors[0]][pairs[0][0]]
-    for i in range(m, 0, -1):
-        down[i] = state
-        state = sec[state][p.letter(i)]
-    down[0] = state
-
-    tail_ids = down + [s for s, _ in seq[:entry]]
-    cycle_ids = [s for s, _ in seq[entry:]]
-    witness = EquivalenceWitness(
-        tuple(elements[s] for s in tail_ids), tuple(elements[s] for s in cycle_ids)
-    )
-    return True, witness
+    tail, cycle = (tuple(nucleus.elements[s] for s in states) for states in lasso)
+    return True, EquivalenceWitness(tail, cycle)
 
 
 def equivalence_class(nucleus: NucleusResult, p: BoundaryPoint) -> set[BoundaryPoint]:
-    """All eventually periodic points equivalent to p.
-
-    Along p's letters, the sets of nucleus states compatible with each output
-    choice form a finite deterministic graph; members of the class are the
-    label sequences of its infinite paths. The live nodes, those starting an
-    infinite path, and the nodes behind a cycle both come from one in-degree
-    peel. Finiteness of the class makes every node behind a cycle have a
-    single live continuation, which a structure check asserts before
-    enumerating the lasso-shaped paths.
-    """
-    k, out, sec, _ = _moore_tables(nucleus)
-    _check_point(p, k)
-    nstates = len(out)
+    """All eventually periodic points equivalent to p: what each lasso reading p writes."""
+    _, out, _ = _moore_tables(nucleus)
     m = len(p.preperiod)
-    period = len(p.period)
-
-    # Node (i, A): A is the valid-state set after tree level i. Levels past the
-    # preperiod only matter by phase, so level m + period is followed by m + 1.
-    # The downward constraint is membership of the section in the previous set,
-    # so the recurrence threads one state set forward at a time.
-    @functools.cache
-    def arrows(node) -> dict:
-        i, states = node
-        x = p.letter(i + 1)
-        nxt = i + 1 if i < m + period else m + 1
-        sets = [frozenset(s for s in range(nstates) if out[s][x] == y and sec[s][x] in states) for y in range(k)]
-        return {y: (nxt, a) for y, a in enumerate(sets) if a}
-
-    # Nodes are numbered in discovery order; edges[i] lists (label, successor).
-    nodes, number = _reachable(lambda node: arrows(node).values(), [(0, frozenset(range(nstates)))])
-    edges = [[(y, number[nxt]) for y, nxt in arrows(node).items()] for node in nodes]
-
-    # Live nodes start an infinite path: they lie behind a cycle of the
-    # reversed graph.
-    back = [[] for _ in nodes]
-    for i, succs in enumerate(edges):
-        for _, j in succs:
-            back[j].append(i)
-    live = set(_recurrent(back))
-    if 0 not in live:
+    results = set()
+    for tail, cycle in _lassos(nucleus, p):
+        written = [out[s, p.letter(i)] for i, s in enumerate(tail[1:] + cycle, 1)]
+        results.add(BoundaryPoint(tuple(written[:m]), tuple(written[m:])))
+    if p not in results:
         raise RuntimeError("no infinite path for the point itself; nucleus data inconsistent")
-
-    live_edges = [[(y, j) for y, j in succs if j in live] for succs in edges]
-    # A branching node behind a cycle forces one on the cycle, where the path leaves it.
-    for i in _recurrent([[j for _, j in succs] for succs in edges]):
-        if len(live_edges[i]) > 1:
-            raise RuntimeError(
-                "equivalence class enumeration found a branching cycle; class not finite"
-            )
-
-    results: set[BoundaryPoint] = set()
-
-    def walk(node, labels, entered):
-        while True:
-            if node in entered:
-                idx = entered[node]
-                results.add(BoundaryPoint(tuple(labels[:idx]), tuple(labels[idx:])))
-                return
-            entered[node] = len(labels)
-            succs = live_edges[node]
-            if len(succs) == 1:
-                labels.append(succs[0][0])
-                node = succs[0][1]
-                continue
-            for y, nxt in succs:
-                walk(nxt, labels + [y], dict(entered))
-            return
-
-    walk(0, [], {})
     return results
 
 

@@ -138,6 +138,25 @@ def test_automaton_validates_shapes():
         MealyAutomaton(a, ("p",), (Permutation.identity(3),), ((0, 0),))
 
 
+def test_automaton_validates_inverse_index():
+    _, aut, _ = _basilica()
+    fields = (aut.alphabet, aut.names, aut.perms, aut.sections, True)
+    # each state its own inverse: a a^-1 would not be the identity
+    with pytest.raises(ValueError, match="inverse"):
+        MealyAutomaton(*fields, (0, 1, 2))
+    with pytest.raises(ValueError, match="state indices"):
+        MealyAutomaton(*fields, (7, 0, 1))
+    # the closure and its quotient name true inverses, so both still build
+    closed = invert(aut)
+    small, assignment = minimize(closed)
+    assert small.inverse_closed and len(small) == len(closed) - 1
+    for name in closed.names:
+        i = assignment[closed.state(name).index]
+        j = small.inverse_index[i]
+        for w in words_upto(2, 6):
+            assert act_word(small.state(j), act_word(small.state(i), w)) == w
+
+
 def test_state_lookup_by_name_and_index():
     _, aut, gens = _basilica()
     assert aut.state("a") == aut.state(aut.state("a").index)
@@ -282,17 +301,16 @@ def _generated_digraph(rng):
 
 
 def test_recurrent_matches_walk_oracle_on_generated_digraphs():
-    assert _recurrent([]) == recurrent_nodes([]) == []
-    assert _recurrent([[], []]) == recurrent_nodes([[], []]) == []
+    assert _recurrent(np.empty((0, 0), dtype=np.int64)) == recurrent_nodes([]) == []
+    assert _recurrent(np.empty((2, 0), dtype=np.int64)) == recurrent_nodes([[], []]) == []
     rng, pad = random.Random(7), random.Random(8)
     for _ in range(200):
         kind, succ = _generated_digraph(rng)
-        got = _recurrent(succ)
-        assert got == recurrent_nodes(succ), (kind, succ)
-        # the same rows as an array, padded with entries below 0 that are no edge
+        # the rows as an array, padded with entries below 0 that are no edge
         width = max(map(len, succ), default=0) + pad.randint(0, 2)
         padded = np.array([row + [-1 - pad.randrange(3)] * (width - len(row)) for row in succ], dtype=np.int64)
-        assert _recurrent(padded.reshape(len(succ), width)) == got
+        got = _recurrent(padded.reshape(len(succ), width))
+        assert got == recurrent_nodes(succ), (kind, succ)
         if kind == "dag":
             assert got == []
         if kind == "cycle":

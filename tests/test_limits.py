@@ -231,6 +231,11 @@ def test_equivalence_matches_oracles_on_generated_automata():
                 assert (q in cls) == got
                 if got:
                     assert wit.validate(p, q)
+            # members outside the sample, longer periods included, are each equivalent to p
+            for q in cls:
+                assert equivalent_points(out, sec, p, q, nstates), (str(p), str(q))
+                got, wit = asymptotic_equivalent(nuc, p, q)
+                assert got and wit.validate(p, q), (str(p), str(q))
 
 
 def test_witness_fails_on_wrong_points():
