@@ -17,8 +17,9 @@ The operations on raw automaton tables (product, quotient, inverse rows,
 breadth-first reachability and the recurrent-node peel) are written once
 here and shared with the engine's canonical elements, the Schreier level
 tables and the boundary-point equivalence arrows. Breadth-first
-reachability walks table states through their section rows, or letters
-through the generators' images.
+reachability is one array walk over rows of successors, with a seen mask:
+table states through their section rows, pairs of pool states through the
+pair graph, or letters through the generators' images.
 
 Product, quotient and inverse rows compute on (n, k) int64 numpy tables and
 take tuple tables too. A product finds its state tuples a frontier at a time:
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,8 +340,8 @@ def _product_tables(tables: Tables | Arrays, root: Sequence[int]) -> Arrays:
     of _quotient of the result, numbered by first occurrence, are numbered
     breadth first from class 0 too: a class's first member is met at the first
     member of the earliest class leading to it, at its least letter into it.
-    Engine products rely on this; canonical_state, section, state_element,
-    inverse and pool members are built otherwise and renumbered.
+    Engine products and canonical_state rely on this; section, state_element,
+    inverse and pool members are built otherwise and renumbered by _restrict.
     """
     images, sections = map(_array, tables)
     k, e = images.shape[1], len(images)
@@ -385,21 +386,35 @@ def _quotient(tables: Tables | Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:
     return color, reps, (images[reps], color[sections[reps]])
 
 
-def _reachable(
-    successors: Callable[[Hashable], Iterable[Hashable]], roots: Iterable[Hashable]
-) -> tuple[list, dict]:
-    """Nodes reachable from roots in breadth-first order, and each node's place in it.
+def _unseen(met: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The nodes of met that seen does not mark, in order of first occurrence; marks them."""
+    new = np.fromiter(dict.fromkeys(met[~seen[met]].tolist()), np.int64)
+    seen[new] = True
+    return new
 
-    On a table, successors is sections.__getitem__.
+
+def _reachable(successors: np.ndarray, roots: Sequence[int], seen: np.ndarray | None = None) -> np.ndarray:
+    """The nodes reachable from roots that seen does not mark, in the order a queue meets them; marks them.
+
+    Row i of the (n, width) int array lists node i's successors. A walk goes
+    a frontier at a time, each frontier's new nodes by first occurrence in its
+    flattened rows, and does not pass a node that seen marks.
     """
-    order = list(dict.fromkeys(roots))
-    number = {q: i for i, q in enumerate(order)}
-    for q in order:
-        for j in successors(q):
-            if j not in number:
-                number[j] = len(order)
-                order.append(j)
-    return order, number
+    if seen is None:
+        seen = np.zeros(len(successors), dtype=bool)
+    order = [_unseen(np.asarray(roots, dtype=np.int64), seen)]
+    while len(order[-1]):
+        order.append(_unseen(successors[order[-1]].ravel(), seen))
+    return np.concatenate(order)
+
+
+def _restrict(tables: Arrays, roots: Sequence[int]) -> tuple[np.ndarray, Arrays]:
+    """The part of a table that roots reach, numbered breadth first: each state's number, -1 unreached, and tables."""
+    images, sections = tables
+    order = _reachable(sections, roots)
+    number = np.full(len(images), -1)
+    number[order] = np.arange(len(order))
+    return number, (images[order], number[sections[order]])
 
 
 def _recurrent(successors: np.ndarray) -> list[int]:

@@ -23,22 +23,23 @@ of pairs at a time and place new pairs with one quotient of the pool per
 batch. The closure's batches double, so there are logarithmically many
 quotients. No product is canonicalized on its own.
 
-The table operations behind canonical elements run on numpy tables: product,
-quotient and inverse rows in selfsim.core, the breadth-first renumbering here,
-a frontier at a time. A product is numbered once: its tuples come breadth first
-from the root and the quotient numbers classes by first occurrence, which is
-breadth-first order on the classes, so canonicalize, canonical_state, products
-and powers take the quotient's tables as they are. Tables not built breadth
-first from their root are renumbered: section, state_element, inverse and the
-pool's members. A CanonicalElement holds its two tables as the bytes of (n, k)
-int64 arrays, so the kernel reads them back without a conversion.
+The table operations behind canonical elements run on numpy tables in
+selfsim.core: product, quotient, inverse rows and the breadth-first
+renumbering, core._restrict. A product is numbered once: its tuples come
+breadth first from the root and the quotient numbers classes by first
+occurrence, which is breadth-first order on the classes, so canonicalize,
+canonical_state, products and powers take the quotient's tables as they are.
+Tables not built breadth first from their root are renumbered by _restrict:
+section, state_element, inverse and the pool's members. A CanonicalElement
+holds its two tables as the bytes of (n, k) int64 arrays, so the kernel reads
+them back without a conversion.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,40 +59,18 @@ from .core import (
     _quotient,
     _reachable,
     _recurrent,
+    _restrict,
     _tables,
+    _unseen,
     _walk,
     invert,
 )
 
 
-def _frontiers(roots: np.ndarray, meet: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """roots, then breadth first what meet returns: meet maps a frontier to the nodes it meets first."""
-    order = [roots]
-    while len(order[-1]):
-        order.append(meet(order[-1]))
-    return np.concatenate(order)
-
-
-def _unseen(met: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """The nodes of met that seen does not mark, in order of first occurrence; marks them."""
-    new = np.fromiter(dict.fromkeys(met[~seen[met]].tolist()), np.int64)
-    seen[new] = True
-    return new
-
-
 def _bfs_root(tables: Arrays, root: int) -> "CanonicalElement":
-    """Renumber the part reachable from root in breadth-first order.
-
-    Frontier by frontier: new states are numbered by first occurrence in the
-    frontier's flattened section rows, the order a queue meets them in.
-    """
-    images, sections = tables
-    seen = np.zeros(len(images), dtype=bool)
-    seen[root] = True
-    order = _frontiers(np.array([root]), lambda frontier: _unseen(sections[frontier].ravel(), seen))
-    number = np.empty(len(images), dtype=np.int64)
-    number[order] = np.arange(len(order))
-    return CanonicalElement(images.shape[1], images[order].tobytes(), number[sections[order]].tobytes())
+    """The part reachable from root as a canonical element, renumbered breadth first."""
+    images, sections = _restrict(tables, [root])[1]
+    return CanonicalElement(images.shape[1], images.tobytes(), sections.tobytes())
 
 
 def _product(tables: Tables | Arrays, root: Sequence[int]) -> "CanonicalElement":
@@ -350,8 +329,7 @@ class _Pool:
         # row e is the identity
         images, sections = np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
         roots = [e, *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
-        below = sections.tolist().__getitem__
-        order = np.concatenate([_reachable(below, [r])[0] for r in roots])
+        order = np.concatenate([_reachable(sections, [r]) for r in roots])
         # a state met by several roots has a row in each; sections point at its first
         row = np.full(e + 1, len(order))
         np.minimum.at(row, order, np.arange(len(order)))
@@ -383,14 +361,13 @@ class _Pool:
             keys, at = _merge(keys, at, new, np.arange(base, base + len(new)))
             return number, new
 
-        def successors(pairs: np.ndarray) -> np.ndarray:
+        frontier = meet(roots)[1]
+        while len(frontier):
             # a letter at a time, which keeps the temporaries to the frontier's size
-            q = pairs & _LOW
-            met = [meet(self.sections[pairs >> 32, self.images[q, x]] << 32 | self.sections[q, x]) for x in range(k)]
+            q = frontier & _LOW
+            met = [meet(self.sections[frontier >> 32, self.images[q, x]] << 32 | self.sections[q, x]) for x in range(k)]
             rows.append(np.stack([number for number, _ in met], axis=1))
-            return np.concatenate([new for _, new in met])
-
-        _frontiers(meet(roots)[1], successors)
+            frontier = np.concatenate([new for _, new in met])
         self.succ = np.concatenate((self.succ, *rows))
         rows.clear()
         self.cls = np.concatenate((self.cls, np.full(len(keys) - 1, -1, dtype=np.int32)))
@@ -478,8 +455,7 @@ def compute_nucleus(
         # them, and what newly lies behind a cycle is reachable from those
         cycles = np.array(_recurrent(pool.succ[start:] - start), dtype=np.int64) + start
         seen = pool.cls >= 0
-        seen[cycles] = True
-        fresh = _frontiers(cycles, lambda frontier: _unseen(pool.succ[frontier].ravel(), seen))
+        fresh = _reachable(pool.succ, cycles, seen)
         pool.place(np.logical_and(seen, pool.cls < 0, out=seen))
         members += [s for s in dict.fromkeys(pool.cls[fresh].tolist()) if s not in member_set]
         member_set.update(members)
@@ -539,8 +515,7 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
     if max_word_length < 0:
         raise ValueError("max_word_length must not be negative")
     pool = _Pool(gens)
-    moves = pool.images[pool.ids[1:]].T.tolist()
-    if len(_reachable(moves.__getitem__, [0])[0]) < len(moves):
+    if len(_reachable(pool.images[pool.ids[1:]].T, [0])) < pool.images.shape[1]:
         return RecurrenceVerdict("false")
 
     targets = set(pool.ids[1::2].tolist())

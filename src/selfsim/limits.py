@@ -19,7 +19,6 @@ collects what each lasso writes.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import _array, _automaton_of, _recurrent, _tables, word, word_str
+from .core import _array, _automaton_of, _tables, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -151,7 +150,9 @@ def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = 
     a level of phase j, has one arrow down to its section at p's letter, kept
     when it writes q's letter there. A path that goes up forever lies on a
     cycle of these arrows from level m + 1 on, so each phase-0 cycle node
-    fixes one path; they come least first.
+    fixes one path; they come least first. The arrows form a functional
+    graph, so pointer doubling finds its cycle nodes: after len(arrows) steps
+    or more every path is on a cycle, or in a sink that stands for no arrow.
     """
     k, out, sec = _moore_tables(nucleus)
     points = (p,) if q is None else (p, q)
@@ -166,13 +167,17 @@ def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = 
     arrows = sec[:, x] + (np.arange(period) - 1) % period * n
     if q is not None:
         arrows[out[:, x] != [q.letter(i) for i in levels]] = -1
-    arrows = arrows.T.reshape(-1, 1)
+    arrows = arrows.T.ravel()
+    ends = np.append(arrows, len(arrows))
+    ends[ends < 0] = len(arrows)
+    for _ in range(len(arrows).bit_length()):
+        ends = ends[ends]
 
     # the anchors: phase-0 nodes, the first n, that lie on a cycle
-    for anchor in itertools.takewhile(lambda v: v < n, _recurrent(arrows)):
+    for anchor in np.unique(ends[ends < n]).tolist():
         # the cycle read downward from the anchor, then upward
         cycle = [anchor]
-        while (below := int(arrows[cycle[-1], 0])) != anchor:
+        while (below := int(arrows[cycle[-1]])) != anchor:
             cycle.append(below)
         tail = [int(sec[anchor, x[0]])]
         for i in range(m, 0, -1):

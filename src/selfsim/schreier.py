@@ -19,9 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import (
-    Alphabet, MealyAutomaton, StateRef, _array, _automaton_of, _distinct, _reachable, _tables, word, word_str,
-)
+from .core import Alphabet, Arrays, StateRef, _array, _automaton_of, _distinct, _restrict, _tables, word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -51,18 +49,16 @@ def _check_cap(count: int, vertex_cap: int | None) -> None:
         )
 
 
-def _level_tables(aut: MealyAutomaton, indices: Sequence[int], n: int) -> list[np.ndarray]:
-    """Image arrays on level n of the given states: rows of one table of the states they reach, grown by level.
+def _level_tables(tables: Arrays, rows: Sequence[int], n: int) -> list[np.ndarray]:
+    """Image arrays on level n of the table's given rows: rows of the part of the table they reach, grown by level.
 
-    The top level is grown for the given states only, so a graph keeps no other state's row.
+    The top level is grown for the given rows only, so a graph keeps no other state's row.
     """
-    k = aut.alphabet.size
-    needed, number = _reachable(aut.sections.__getitem__, indices)
+    number, (images, sections) = _restrict(tables, rows)
+    k = images.shape[1]
     dtype = np.int32 if k**n <= 2**31 - 1 else np.int64
-    images = _array(_tables(aut)[0])[needed].astype(dtype)
-    sections = np.array([[number[j] for j in aut.sections[i]] for i in needed])
-    rows = [number[i] for i in indices]
-    table = np.zeros((len(needed), 1), dtype=dtype)
+    images, rows = images.astype(dtype), number[rows]
+    table = np.zeros((len(images), 1), dtype=dtype)
     for level in range(n):
         at = rows if level == n - 1 else slice(None)
         table = table[sections[at]]
@@ -178,7 +174,7 @@ def build_schreier(
         aut.alphabet.size,
         n,
         tuple(g.name for g in gens),
-        _level_tables(aut, [g.index for g in gens], n),
+        _level_tables(tuple(map(_array, _tables(aut))), [g.index for g in gens], n),
     )
 
 

@@ -6,13 +6,14 @@ memoized recursion, partition refinement by one tuple signature per state
 and round ranked in a dict, canonical elements built one tuple state and one
 letter at a time, the nucleus closure as one canonical product per pair of
 elements, the recurrence test over a ball of canonical products, the word
-ball as words canonicalized one at a time, and freeness by enumerating
-reduced words. No code
+ball as words canonicalized one at a time, freeness by enumerating
+reduced words, and breadth-first reachability by a plain queue. No code
 is shared with the library's vectorized, peeled or pooled implementations.
 """
 
 import functools
 import itertools
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -334,6 +335,24 @@ def recurrent_nodes(successors) -> list[int]:
         if length >= n:
             found |= ends
     return sorted(found)
+
+
+def reachable_by_queue(successors, roots, seen) -> tuple[list[int], set[int]]:
+    """Nodes met by a queue from roots, skipping and marking the nodes in seen; and the marks after.
+
+    successors[i] lists node i's successors, and seen is a set of nodes.
+    """
+    marked = set(seen)
+    order = [r for r in dict.fromkeys(roots) if r not in marked]
+    marked.update(order)
+    queue = deque(order)
+    while queue:
+        for j in successors[queue.popleft()]:
+            if j not in marked:
+                marked.add(j)
+                order.append(j)
+                queue.append(j)
+    return order, marked
 
 
 def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) -> NucleusResult:

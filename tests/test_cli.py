@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, file handling."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -337,6 +338,17 @@ def test_console_script_entry_point():
         _check_gen_level_one([installed])
 
 
+# sha256 of each demo's stdout, frozen so that a change to the library shows in
+# what a user reads; 05_spectra prints LAPACK eigenvalues, -0.0000 among them,
+# whose last digits and signs may differ between BLAS builds, so it is not frozen
+DEMO_STDOUT_SHA256 = {
+    "01_recursion_basics.py": "6353029a535f109fe16f21ada616ed2858576443b6757d0b3573aff6b2229644",
+    "02_schreier_graphs.py": "2cad4c2f18ed4517c38fc997f101f75277207fc2626c728e290e237a9643ae9e",
+    "03_nucleus.py": "62fef30b2a696a763520dc8c7362afb2206eac1b2a4f3788042f9d546beecbce",
+    "04_limit_space.py": "54b9396b3b8cd0f6ef204d4247b2fbbebbe93f549bd4d7ed531fced56f04be3d",
+}
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     import_root, env = _in_tree()
@@ -350,3 +362,5 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if demo in DEMO_STDOUT_SHA256:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo]

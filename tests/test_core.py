@@ -24,9 +24,9 @@ from selfsim import (
     word,
     word_str,
 )
-from selfsim.core import _recurrent, refine_partition
+from selfsim.core import _reachable, _recurrent, refine_partition
 
-from ._oracles import doc_act, recurrent_nodes, refine_by_signatures, words_upto
+from ._oracles import doc_act, reachable_by_queue, recurrent_nodes, refine_by_signatures, words_upto
 
 
 def _basilica():
@@ -315,6 +315,25 @@ def test_recurrent_matches_walk_oracle_on_generated_digraphs():
             assert got == []
         if kind == "cycle":
             assert got
+
+
+def test_reachable_matches_queue_oracle_on_generated_successor_arrays():
+    rng = random.Random(9)
+    for _ in range(300):
+        n, width = rng.randint(1, 20), rng.randint(1, 3)
+        succ = np.array([[rng.randrange(n) for _ in range(width)] for _ in range(n)], dtype=np.int64)
+        # repeated roots, in random order
+        roots = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+        roots += rng.sample(roots, len(roots) // 2)
+        mask = np.array([rng.random() < 0.2 for _ in range(n)])
+        order, marked = reachable_by_queue(succ.tolist(), roots, set(np.flatnonzero(mask).tolist()))
+        seen = mask.copy()
+        got = _reachable(succ, roots, seen)
+        assert got.dtype == np.int64
+        assert got.tolist() == order, (succ.tolist(), roots, mask.tolist())
+        assert set(np.flatnonzero(seen).tolist()) == marked
+        # without a mask the walk starts from nothing marked
+        assert _reachable(succ, roots).tolist() == reachable_by_queue(succ.tolist(), roots, set())[0]
 
 
 def _generated_table(rng, n, k):

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import selfsim
@@ -64,3 +65,27 @@ def test_every_module_import_is_used():
                     if bound not in read:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    """A private module-level function or method in src/selfsim is read somewhere in src/selfsim outside its own body.
+
+    A read is a loaded name or an attribute; dunder methods are called by the language and are left out.
+    """
+    def reads(tree) -> Counter:
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+        )
+
+    used, defined = Counter(), []
+    for path in sorted((ROOT / "src" / "selfsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used += reads(tree)
+        scopes = [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
+        for node in (node for scope in scopes for node in scope.body):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append((path.name, node))
+    unread = [f"{name}: {node.name}" for name, node in defined if used[node.name] == reads(node)[node.name]]
+    assert unread == []

@@ -15,16 +15,22 @@ from selfsim import (
     act_word,
     build_schreier,
     catalog_get,
+    catalog_list,
     connected_components,
     export_graph,
+    inverse_state,
+    invert,
     parse_edges,
     pointed_component,
     simplicial,
     to_automaton,
     BoundaryPoint,
 )
+from selfsim.engine import _Pool
+from selfsim.schreier import _level_tables
 
 from ._oracles import arrow_rows, component_count, component_sets, level_images
+from .test_engine import _random_document
 
 
 def _gens(key):
@@ -282,3 +288,17 @@ def test_every_state_level_images_match_oracle():
         for n in (1, 2, 3):
             graph = build_schreier(aut.states(), n)
             assert [img.tolist() for img in graph.images] == level_images(doc, n), (key, n)
+
+
+def test_level_tables_read_the_pool_table():
+    """Levels read from the pool's table, minimized and renumbered, equal the automaton's, in the g, g^-1 order."""
+    rng = random.Random(16)
+    automata = [_gens(entry.key) for entry in catalog_list()]
+    automata += [to_automaton(_random_document(rng))[1] for _ in range(30)]
+    for gens in automata:
+        pool = _Pool(gens)
+        aut = invert(gens[0].automaton)
+        both = [s for g in gens for s in (aut.state(g.index), inverse_state(g))]
+        for n in range(7):
+            got = _level_tables((pool.images, pool.sections), pool.ids[1:], n)
+            assert [img.tolist() for img in got] == [img.tolist() for img in build_schreier(both, n).images], n
