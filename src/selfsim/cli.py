@@ -19,7 +19,7 @@ from .core import MealyAutomaton, StateRef, invert, inverse_state
 from .dsl import ParseError, parse, to_automaton
 from .engine import NotContractingError, canonical_state, compute_nucleus
 from .exports import FORMATS, export_graph
-from .limits import BoundaryPoint, asymptotic_equivalent, self_similarity_graph
+from .limits import BoundaryPoint, _check_point, asymptotic_equivalent, self_similarity_graph
 from .schreier import ResourceCapError, build_schreier, pointed_component, simplicial
 from .spectra import spectrum
 
@@ -127,6 +127,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_equiv(args) -> int:
     aut, gens = _load(args)
+    # the points are checked first: the closure can take long before it trips a bound
+    p, q = BoundaryPoint.parse(args.p), BoundaryPoint.parse(args.q)
+    for point in (p, q):
+        _check_point(point, aut.alphabet.size)
     res = compute_nucleus(gens, max_elements=args.max_elements, max_depth=args.max_depth)
     if not res.is_contracting:
         print(
@@ -135,8 +139,6 @@ def _cmd_equiv(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID
-    p = BoundaryPoint.parse(args.p)
-    q = BoundaryPoint.parse(args.q)
     equivalent, witness = asymptotic_equivalent(res, p, q)
     lines = [f"p: {p}", f"q: {q}", f"equivalent: {'true' if equivalent else 'false'}"]
     if witness is not None:

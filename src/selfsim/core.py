@@ -21,14 +21,16 @@ reachability is one array walk over rows of successors, with a seen mask:
 table states through their section rows, pairs of pool states through the
 pair graph, or letters through the generators' images.
 
-Product, quotient and inverse rows compute on (n, k) int64 numpy tables and
-take tuple tables too. A product finds its state tuples a frontier at a time:
-one gather of the positions' output rows, their prefix compositions by a
-doubling scan of ceil(log2 L) steps, one gather of the sections, and new
-tuples numbered by first occurrence of their bytes. A quotient is Moore
-refinement in numpy rounds, one int64 key and one rank per round, classes
-numbered by first occurrence, its class tables fancy-indexed. The recurrent
-peel drops nodes in numpy rounds too.
+Product, quotient and inverse rows compute on (n, k) int64 numpy tables
+only. A MealyAutomaton reads its rows into such arrays once, its tables
+field, and canonical elements and the pool hold theirs as arrays already. A
+product finds its state tuples a frontier at a time: one gather of the
+positions' output rows, their prefix compositions by a doubling scan of
+ceil(log2 L) steps, one gather of the sections, and new tuples numbered by
+first occurrence of their bytes. A quotient is Moore refinement in numpy
+rounds, one int64 key and one rank per round, classes numbered by first
+occurrence, its class tables fancy-indexed. The recurrent peel drops nodes
+in numpy rounds too.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# (images, sections): images[i] is the output image row of state i and
-# sections[i][x] the index of its section at letter x.
-Tables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
-# the same pair as (n, k) int64 arrays, the form the kernel computes in
+# (images, sections) as (n, k) int64 arrays, the form the kernel computes in: images[i] is
+# the output image row of state i and sections[i, x] the index of its section at letter x
 Arrays = tuple[np.ndarray, np.ndarray]
 
 
@@ -184,10 +184,10 @@ class Permutation:
 class MealyAutomaton:
     """Invertible Mealy automaton: per state an output permutation and a section row.
 
-    sections[i][x] is the index of the state q_i|x. When inverse_closed is
-    true the automaton contains a formal inverse for every state and
-    inverse_index[i] is its index; inverting twice resolves to the original
-    state.
+    sections[i][x] is the index of the state q_i|x, and tables holds both
+    as the arrays the kernel reads. When inverse_closed is true the
+    automaton contains a formal inverse for every state and inverse_index[i]
+    is its index; inverting twice resolves to the original state.
     """
 
     alphabet: Alphabet
@@ -196,6 +196,8 @@ class MealyAutomaton:
     sections: tuple[tuple[int, ...], ...]
     inverse_closed: bool = False
     inverse_index: tuple[int, ...] | None = None
+    # (images, sections) as read-only (n, k) int64 arrays, read from perms and sections once
+    tables: Arrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.names)
@@ -204,15 +206,21 @@ class MealyAutomaton:
             raise ValueError("state names must be unique")
         if len(self.perms) != n or len(self.sections) != n:
             raise ValueError("perms and sections must match the state count")
-        for p in self.perms:
-            if p.degree != k:
-                raise ValueError("permutation degree must equal the alphabet size")
-        for row in self.sections:
-            if len(row) != k:
-                raise ValueError("each state needs one section per letter")
-            for j in row:
-                if not 0 <= j < n:
-                    raise ValueError(f"section index {j} out of range")
+        if any(p.degree != k for p in self.perms):
+            raise ValueError("permutation degree must equal the alphabet size")
+        # before the flat read: ragged rows of n * k entries in all would reshape silently
+        if any(len(row) != k for row in self.sections):
+            raise ValueError("each state needs one section per letter")
+        # read flat: np.array on a tuple of tuples is several times slower
+        images, sections = tables = tuple(
+            np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * k).reshape(n, k)
+            for rows in ((p.images for p in self.perms), self.sections)
+        )
+        outside = (sections < 0) | (sections >= n)
+        if outside.any():
+            raise ValueError(f"section index {sections[outside][0]} out of range")
+        images.flags.writeable = sections.flags.writeable = False
+        object.__setattr__(self, "tables", tables)
         if self.inverse_closed:
             if self.inverse_index is None or len(self.inverse_index) != n:
                 raise ValueError("inverse_closed automaton needs a full inverse_index")
@@ -220,8 +228,7 @@ class MealyAutomaton:
             if not ((0 <= inv) & (inv < n)).all():
                 raise ValueError("inverse_index entries must be state indices")
             # state inv[i] must act as q_i^-1: the inverse output row, and sections the inverses of q_i's
-            images, sections = map(_array, _tables(self))
-            inv_images, inv_sections = _inverse_rows((images, sections))
+            inv_images, inv_sections = _inverse_rows(tables)
             if not ((images[inv] == inv_images).all() and (sections[inv] == inv[inv_sections]).all()):
                 raise ValueError("inverse_index must name a state acting as each state's inverse")
 
@@ -274,36 +281,23 @@ def _automaton_of(gens: Sequence[StateRef]) -> MealyAutomaton:
 def act_word(state: StateRef, letters: Sequence[int] | str) -> tuple[int, ...]:
     """Image of a word under the state's tree action."""
     aut = state.automaton
-    return _walk(_tables(aut), state.index, aut.alphabet.check_word(letters))[0]
+    return _walk(aut.tables, state.index, aut.alphabet.check_word(letters))[0]
 
 
 def section_word(state: StateRef, letters: Sequence[int] | str) -> StateRef:
     """Section of the state at a word: q|_(x v) = (q|_x)|_v."""
     aut = state.automaton
-    return StateRef(aut, _walk(_tables(aut), state.index, aut.alphabet.check_word(letters))[1])
+    return StateRef(aut, _walk(aut.tables, state.index, aut.alphabet.check_word(letters))[1])
 
 
-def _tables(aut: MealyAutomaton) -> Tables:
-    return tuple(p.images for p in aut.perms), aut.sections
-
-
-def _walk(tables: Tables, i: int, w: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """The image of the word w under state i, and the state below it: i's section at w."""
+def _walk(tables: Arrays, i: int, w: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """The image of the word w under state i, and the state below it: i's section at w, as Python ints."""
     images, sections = tables
     out = []
     for x in w:
-        out.append(images[i][x])
-        i = sections[i][x]
+        out.append(images.item(i, x))
+        i = sections.item(i, x)
     return tuple(out), i
-
-
-def _array(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """Rows of ints as one (n, k) int64 array; an array passes through."""
-    if isinstance(rows, np.ndarray):
-        return rows
-    # read flat: np.array on a tuple of tuples is several times slower
-    n, k = len(rows), len(rows[0]) if rows else 0
-    return np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * k).reshape(n, k)
 
 
 def _tuples(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -318,17 +312,17 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
-def _inverse_rows(tables: Tables | Arrays) -> Arrays:
+def _inverse_rows(tables: Arrays) -> Arrays:
     """Inverse rows: state i of the result is q_i^-1, with q^-1|_y = (q|_{sigma_q^-1(y)})^-1.
 
     Section indices keep their meaning: they name the inverses of the states.
     """
-    images, sections = map(_array, tables)
+    images, sections = tables
     inverse = np.argsort(images, axis=1)
     return inverse, np.take_along_axis(sections, inverse, axis=1)
 
 
-def _product_tables(tables: Tables | Arrays, root: Sequence[int]) -> Arrays:
+def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
     """Tables of the tuples of states of one table reachable from root.
 
     Factors from several tables are one table with offset state ids. A tuple
@@ -343,7 +337,7 @@ def _product_tables(tables: Tables | Arrays, root: Sequence[int]) -> Arrays:
     Engine products and canonical_state rely on this; section, state_element,
     inverse and pool members are built otherwise and renumbered by _restrict.
     """
-    images, sections = map(_array, tables)
+    images, sections = tables
     k, e = images.shape[1], len(images)
     # state e is the identity, put first in every tuple: it reads the input letter and hands it on
     images = np.concatenate((images, [np.arange(k)]))
@@ -377,9 +371,9 @@ def _product_tables(tables: Tables | Arrays, root: Sequence[int]) -> Arrays:
     return tuple(map(np.concatenate, zip(*rounds)))
 
 
-def _quotient(tables: Tables | Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:
+def _quotient(tables: Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:
     """Quotient by refine_partition: each state's class, each class's first member, class tables."""
-    images, sections = map(_array, tables)
+    images, sections = tables
     color = refine_partition(images, sections)[0]
     # classes are numbered by first occurrence, so first members come in class order
     _, reps = np.unique(color, return_index=True)
@@ -447,7 +441,7 @@ def invert(aut: MealyAutomaton) -> MealyAutomaton:
     if aut.inverse_closed:
         return aut
     m = len(aut)
-    inv_images, inv_sections = _inverse_rows(_tables(aut))
+    inv_images, inv_sections = _inverse_rows(aut.tables)
     names = aut.names + tuple(n + "^-1" for n in aut.names)
     perms = aut.perms + tuple(Permutation(img) for img in _tuples(inv_images))
     sections = aut.sections + _tuples(inv_sections + m)
@@ -462,21 +456,17 @@ def inverse_state(state: StateRef) -> StateRef:
     return StateRef(aut, aut.inverse_index[state.index])
 
 
-def refine_partition(
-    perm_keys: Sequence[tuple[int, ...]] | np.ndarray, sections: Sequence[tuple[int, ...]] | np.ndarray
-) -> tuple[np.ndarray, int]:
+def refine_partition(images: np.ndarray, sections: np.ndarray) -> tuple[np.ndarray, int]:
     """Coarsest partition where classes share output rows and map sections to classes.
 
-    Moore rounds until the class count stops growing: the output rows (entries
-    below k), then the rows (color[i], color[sections[i][0]], ...), are folded
-    into one int64 key per state, each column one more digit in radix
-    max(count, k), and ranked by np.unique. A key that would reach 2^62 is
-    ranked first, which compresses it below n. Classes come as an int64 array,
-    numbered by first occurrence; two states share one iff they act alike.
+    Moore rounds on (n, k) int arrays until the class count stops growing:
+    the output rows (entries below k), then the rows (color[i],
+    color[sections[i, 0]], ...), are folded into one int64 key per state,
+    each column one more digit in radix max(count, k), and ranked by
+    np.unique. A key that would reach 2^62 is ranked first, which compresses
+    it below n. Classes come as an int64 array, numbered by first
+    occurrence; two states share one iff they act alike.
     """
-    if not len(perm_keys):
-        return np.empty(0, dtype=np.int64), 0
-    images, successors = _array(perm_keys), _array(sections)
     n, k = images.shape
     color, count, columns = np.zeros(n, dtype=np.int64), 0, images.T
     while True:
@@ -492,7 +482,7 @@ def refine_partition(
             _, first = np.unique(color, return_index=True)
             return np.argsort(np.argsort(first))[color], count
         color, count = refined, len(classes)
-        columns = (color[col] for col in successors.T)
+        columns = (color[col] for col in sections.T)
 
 
 def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:
@@ -501,7 +491,7 @@ def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:
     Classes are ordered by first occurrence and keep the name of their least
     member, so minimizing twice returns an identical automaton.
     """
-    color, reps, (_, sections) = _quotient(_tables(aut))
+    color, reps, (_, sections) = _quotient(aut.tables)
     color, reps = color.tolist(), reps.tolist()
     names = tuple(aut.names[r] for r in reps)
     perms = tuple(aut.perms[r] for r in reps)

@@ -37,6 +37,7 @@ them back without a conversion.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterator, Sequence
@@ -50,8 +51,6 @@ from .core import (
     MealyAutomaton,
     Permutation,
     StateRef,
-    Tables,
-    _array,
     _automaton_of,
     _distinct,
     _inverse_rows,
@@ -60,7 +59,6 @@ from .core import (
     _reachable,
     _recurrent,
     _restrict,
-    _tables,
     _unseen,
     _walk,
     invert,
@@ -73,7 +71,7 @@ def _bfs_root(tables: Arrays, root: int) -> "CanonicalElement":
     return CanonicalElement(images.shape[1], images.tobytes(), sections.tobytes())
 
 
-def _product(tables: Tables | Arrays, root: Sequence[int]) -> "CanonicalElement":
+def _product(tables: Arrays, root: Sequence[int]) -> "CanonicalElement":
     """The product of root's states as a canonical element: its quotient is already breadth first."""
     images, sections = _quotient(_product_tables(tables, root))[2]
     return CanonicalElement(images.shape[1], images.tobytes(), sections.tobytes())
@@ -117,7 +115,7 @@ class CanonicalElement:
         return (self.size, self.perms.tolist(), self.sections.tolist())
 
     def act(self, letters: Sequence[int] | str) -> tuple[int, ...]:
-        return tuple(map(int, _walk((self.perms, self.sections), 0, Alphabet(self.k).check_word(letters))[0]))
+        return _walk((self.perms, self.sections), 0, Alphabet(self.k).check_word(letters))[0]
 
     def section(self, letters: Sequence[int] | str) -> "CanonicalElement":
         tables = (self.perms, self.sections)
@@ -193,7 +191,7 @@ class GroupWord:
 
 def canonical_state(state: StateRef) -> CanonicalElement:
     """Canonical element acting like a single automaton state."""
-    return _product(_tables(state.automaton), [state.index])
+    return _product(state.automaton.tables, [state.index])
 
 
 def canonicalize(gw: GroupWord) -> CanonicalElement:
@@ -207,7 +205,7 @@ def canonicalize(gw: GroupWord) -> CanonicalElement:
         gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
         for pos, exp in gw.factors
     )
-    return _product(_tables(aut), factor_states)
+    return _product(aut.tables, factor_states)
 
 
 def recurrent_sections(e: CanonicalElement) -> list[CanonicalElement]:
@@ -324,7 +322,7 @@ class _Pool:
     def __init__(self, gens: Sequence[StateRef]) -> None:
         aut = invert(_automaton_of(gens))
         assert aut.inverse_index is not None
-        images, sections = map(_array, _tables(aut))
+        images, sections = aut.tables
         e, k = images.shape
         # row e is the identity
         images, sections = np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
@@ -520,7 +518,8 @@ def is_recurrent(gens: Sequence[StateRef], max_word_length: int = 8) -> Recurren
 
     targets = set(pool.ids[1::2].tolist())
     found: set[int] = set()
-    for sphere in pool.spheres(max_word_length):
+    # sphere 0 is the empty word: it fixes letter 0 with the identity below, so an identity generator is found
+    for sphere in itertools.chain([pool.ids[:1]], pool.spheres(max_word_length)):
         found.update(pool.sections[sphere[pool.images[sphere, 0] == 0], 0].tolist())
         if targets <= found:
             return RecurrenceVerdict("true")

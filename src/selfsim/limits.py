@@ -26,7 +26,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import _array, _automaton_of, _tables, word, word_str
+from .core import Arrays, _automaton_of, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -131,12 +131,11 @@ class EquivalenceWitness:
         return True
 
 
-def _moore_tables(nucleus: NucleusResult):
-    """(k, outputs, sections) of the nucleus Moore diagram as arrays, built once per nucleus."""
+def _moore_tables(nucleus: NucleusResult) -> Arrays:
+    """(outputs, sections) of the nucleus Moore diagram as arrays, built once per nucleus."""
     tables = vars(nucleus).get("_moore_tables")
     if tables is None:
-        aut, _ = nucleus.moore_automaton()
-        tables = aut.alphabet.size, *map(_array, _tables(aut))
+        tables = nucleus.moore_automaton()[0].tables
         # the result is frozen; the tables are derived data, not a field
         object.__setattr__(nucleus, "_moore_tables", tables)
     return tables
@@ -154,10 +153,10 @@ def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = 
     graph, so pointer doubling finds its cycle nodes: after len(arrows) steps
     or more every path is on a cycle, or in a sink that stands for no arrow.
     """
-    k, out, sec = _moore_tables(nucleus)
+    out, sec = _moore_tables(nucleus)
     points = (p,) if q is None else (p, q)
     for point in points:
-        _check_point(point, k)
+        _check_point(point, out.shape[1])
     n = len(out)
     m = max(len(point.preperiod) for point in points)
     period = lcm(*(len(point.period) for point in points))
@@ -201,7 +200,7 @@ def asymptotic_equivalent(
 
 def equivalence_class(nucleus: NucleusResult, p: BoundaryPoint) -> set[BoundaryPoint]:
     """All eventually periodic points equivalent to p: what each lasso reading p writes."""
-    _, out, _ = _moore_tables(nucleus)
+    out, _ = _moore_tables(nucleus)
     m = len(p.preperiod)
     results = set()
     for tail, cycle in _lassos(nucleus, p):

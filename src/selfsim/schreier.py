@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Alphabet, Arrays, StateRef, _array, _automaton_of, _distinct, _restrict, _tables, word, word_str
+from .core import Alphabet, Arrays, StateRef, _automaton_of, _distinct, _restrict, word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
 ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
@@ -169,13 +169,9 @@ def build_schreier(
     if n < 0:
         raise ValueError("level must be nonnegative")
     aut = _automaton_of(gens)
-    _check_cap(aut.alphabet.size**n, vertex_cap)
-    return LabeledSchreierGraph(
-        aut.alphabet.size,
-        n,
-        tuple(g.name for g in gens),
-        _level_tables(tuple(map(_array, _tables(aut))), [g.index for g in gens], n),
-    )
+    k, tables = aut.alphabet.size, aut.tables
+    _check_cap(k**n, vertex_cap)
+    return LabeledSchreierGraph(k, n, tuple(g.name for g in gens), _level_tables(tables, [g.index for g in gens], n))
 
 
 @dataclass

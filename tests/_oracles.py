@@ -440,8 +440,9 @@ def recurrence_by_products(gens, max_word_length: int = 8) -> RecurrenceVerdict:
     """The recurrence test with one canonical product per element of the word ball.
 
     Level-1 transitivity by union-find; then the words of length up to
-    max_word_length, formed one product at a time, are searched for elements
-    that fix letter 0 and whose sections at 0 hit every generator.
+    max_word_length, the empty word first and the others formed one product
+    at a time, are searched for elements that fix letter 0 and whose sections
+    at 0 hit every generator.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -452,7 +453,10 @@ def recurrence_by_products(gens, max_word_length: int = 8) -> RecurrenceVerdict:
         return RecurrenceVerdict("false")
 
     targets = {canonical_state(g) for g in gens}
-    found: set[CanonicalElement] = set()
+    # the empty word fixes letter 0 with the identity below, so an identity generator is found
+    found = targets & {CanonicalElement.identity(k)}
+    if found == targets:
+        return RecurrenceVerdict("true")
     step: list[CanonicalElement] = []
     for g in gens:
         el = canonical_state(g)

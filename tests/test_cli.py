@@ -246,6 +246,14 @@ def test_equiv_bad_point_syntax(capsys):
     code, _, err = _run(capsys, "equiv", "--catalog", "odometer", "0^w", "zzz")
     assert code == 2
     assert "error:" in err
+    # the points are checked before the closure: aleshin is not contracting, so a closure run
+    # first would report its bounds instead, after a long wait on larger inputs
+    code, _, err = _run(capsys, "equiv", "--catalog", "aleshin", "garbage", "1^w")
+    assert code == 2
+    assert "boundary point must look like PERIOD^w [PREPERIOD], got 'garbage'" in err
+    code, _, err = _run(capsys, "equiv", "--catalog", "aleshin", "1^w", "2^w")
+    assert code == 2
+    assert "boundary point 2^w uses letters outside a 2-letter alphabet" in err
 
 
 def test_ssg_export(capsys):

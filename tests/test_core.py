@@ -14,6 +14,7 @@ from selfsim import (
     act_word,
     canonicalize,
     catalog_get,
+    catalog_list,
     compute_nucleus,
     invert,
     inverse_state,
@@ -136,6 +137,15 @@ def test_automaton_validates_shapes():
         MealyAutomaton(a, ("p",), (pid,), ((0, 2),))
     with pytest.raises(ValueError):
         MealyAutomaton(a, ("p",), (Permutation.identity(3),), ((0, 0),))
+    # ragged rows with n * k entries in all would reshape into a table if read flat first
+    with pytest.raises(ValueError, match="one section per letter"):
+        MealyAutomaton(a, ("p", "q"), (pid, pid), ((0,), (1, 1, 0)))
+    with pytest.raises(ValueError, match="section index -1 out of range"):
+        MealyAutomaton(a, ("p", "q"), (pid, pid), ((0, 1), (-1, 0)))
+    with pytest.raises(ValueError, match="match the state count"):
+        MealyAutomaton(a, ("p", "q"), (pid,), ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="match the state count"):
+        MealyAutomaton(a, ("p", "q"), (pid, pid), ((0, 1),))
 
 
 def test_automaton_validates_inverse_index():
@@ -383,7 +393,7 @@ def _same_action(images, sections, i, j, depth):
 
 
 def test_refine_partition_matches_signature_oracle():
-    color, count = refine_partition([], [])
+    color, count = refine_partition(np.empty((0, 2), np.int64), np.empty((0, 2), np.int64))
     assert (color.tolist(), count) == refine_by_signatures([], []) == ([], 0)
     assert color.dtype == np.int64
     rng = random.Random(11)
@@ -391,7 +401,7 @@ def test_refine_partition_matches_signature_oracle():
         for n in (1, 2, 3, 4, 5, 6, 7, 10, 17, 40, 100, 300):
             for _ in range(3):
                 images, sections = _generated_table(rng, n, k)
-                color, count = refine_partition(images, sections)
+                color, count = refine_partition(np.array(images), np.array(sections))
                 assert (color.tolist(), count) == refine_by_signatures(images, sections), (k, images, sections)
                 assert count == len(set(color))
                 if n <= 6 and k <= 3:
@@ -401,7 +411,7 @@ def test_refine_partition_matches_signature_oracle():
         if k > 1:
             for n in (2, 6, 50, 300):
                 images, sections = _chain(n, k)
-                color, count = refine_partition(images, sections)
+                color, count = refine_partition(np.array(images), np.array(sections))
                 assert (color.tolist(), count) == refine_by_signatures(images, sections) == (list(range(n)), n)
 
 
@@ -409,7 +419,7 @@ def test_kernel_tables_hold_python_ints():
     # element tables are read-only int64 arrays; a numpy scalar leaked into a tuple prints as
     # np.int64(3) and hashes slowly, so the tuples users read hold Python ints
     images, sections = _generated_table(random.Random(3), 40, 2)
-    color, count = refine_partition(images, sections)
+    color, count = refine_partition(np.array(images), np.array(sections))
     assert type(count) is int and color.dtype == np.int64
     _, aut, gens = _basilica()
     small, assignment = minimize(aut)
@@ -419,6 +429,16 @@ def test_kernel_tables_hold_python_ints():
     rows = [assignment]
     for table in (small, closed, moore):
         rows += [*table.sections, *(p.images for p in table.perms)]
+    # an automaton's tables are its perms and sections, read once into read-only int64 arrays
+    automata = [small, closed, moore, MealyAutomaton(Alphabet(3), (), (), ())]
+    for entry in catalog_list():
+        original = entry.automaton()[0]
+        automata += [original, invert(original), minimize(original)[0]]
+    for automaton in automata:
+        shape = (len(automaton), automaton.alphabet.size)
+        for table, expected in zip(automaton.tables, ([p.images for p in automaton.perms], automaton.sections)):
+            assert table.dtype == np.int64 and table.shape == shape and not table.flags.writeable
+            assert table.tolist() == [list(row) for row in expected]
     rng = random.Random(100)
     el = canonicalize(GroupWord(tuple(gens), tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(100))))
     assert el.size > 10

@@ -23,11 +23,12 @@ from selfsim import (
     invert,
     is_recurrent,
     minimize,
+    parse,
     recurrent_sections,
     self_similarity_graph,
     to_automaton,
 )
-from selfsim.core import _inverse_rows, _product_tables, _quotient, _tables, _walk, refine_partition
+from selfsim.core import _inverse_rows, _product_tables, _quotient, _walk, refine_partition
 from selfsim.engine import _bfs_root, _Pool, _product
 
 from ._oracles import (
@@ -225,8 +226,6 @@ def test_recurrent_sections_of_basilica():
 
 def test_recurrent_sections_drop_transient_states():
     # s sits above a cycle it never re-enters: only the cycle part recurs
-    from selfsim import parse
-
     aut, gens = to_automaton(parse("alphabet 2\ns = (0 1)(t, t)\nt = id(t, t)\ngens s\n"))
     s = canonical_state(aut.state("s"))
     assert set(recurrent_sections(s)) == {CanonicalElement.identity(2)}
@@ -434,6 +433,17 @@ def test_is_recurrent_verdicts(monkeypatch):
     assert not verdict
     # the ball is searched on pool states, never by a canonical product
     assert products == []
+
+
+def test_is_recurrent_finds_identity_generators():
+    # the empty word fixes letter 0 with the identity below, so a generator acting as the identity is found
+    text = "alphabet 2\na = (0 1)(e, a)\ne = id(e, e)\n"
+    for line in ("gens a\n", "gens a e\n"):
+        _, gens = to_automaton(parse(text + line))
+        assert is_recurrent(gens).kind == recurrence_by_products(gens).kind == "true"
+    _, gens = to_automaton(parse("alphabet 1\ne = id(e)\ngens e\n"))
+    for length in (0, 1, 8):
+        assert is_recurrent(gens, length).kind == recurrence_by_products(gens, length).kind == "true"
 
 
 def test_compute_nucleus_requires_generators():
@@ -663,13 +673,14 @@ def test_table_kernel_against_oracles_on_generated_automata():
 
         # products are numbered once: the quotient of a product already is in breadth-first order,
         # also on a table where every state has a planted duplicate that the sections point at at random
-        images, sections = _tables(invert(aut))
-        m = len(images)
-        planted = (images * 2, tuple(tuple(j + m * rng.randrange(2) for j in row) for row in sections * 2))
+        images, sections = invert(aut).tables
+        m, k = images.shape
+        shift = m * np.array([rng.randrange(2) for _ in range(2 * m * k)]).reshape(-1, k)
+        planted = (np.tile(images, (2, 1)), np.tile(sections, (2, 1)) + shift)
         for length in (1, 2, *range(5, 10)):
             root = [rng.randrange(2 * m) for _ in range(length)]
             quotient = _quotient(_product_tables(planted, root))[2]
-            numbered = CanonicalElement(len(images[0]), quotient[0].tobytes(), quotient[1].tobytes())
+            numbered = CanonicalElement(k, quotient[0].tobytes(), quotient[1].tobytes())
             assert numbered == bfs_root_by_tuples(tuple(map(np.ndarray.tolist, quotient)), 0), root
 
         for original in (aut, invert(aut)):
