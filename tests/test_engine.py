@@ -28,7 +28,8 @@ from selfsim import (
     self_similarity_graph,
     to_automaton,
 )
-from selfsim.core import _inverse_rows, _product_tables, _quotient, _walk, refine_partition
+from selfsim import engine
+from selfsim.core import _inverse_rows, _product_tables, _quotient, _recurrent, _walk, refine_partition
 from selfsim.engine import _bfs_root, _Pool, _product
 
 from ._oracles import (
@@ -515,11 +516,12 @@ def test_pool_from_the_table_matches_stacked_canonical_elements():
 
 
 def test_nucleus_matches_product_oracle_on_generated_automata(monkeypatch):
+    # per explore: the root keys it gets and the pairs met before it
     batches = []
     explore = _Pool.explore
 
     def counted(self, roots):
-        batches.append(len(roots))
+        batches.append((len(roots), len(self.cls)))
         return explore(self, roots)
 
     monkeypatch.setattr(_Pool, "explore", counted)
@@ -530,11 +532,17 @@ def test_nucleus_matches_product_oracle_on_generated_automata(monkeypatch):
         doc = (_random_document if t % 2 else _random_bounded_document)(rng)
         _, gens = to_automaton(doc)
         bound, depth = rng.choice((3, 12, 48, 96)), rng.choice((1, 2, 3, 8))
+        seeds = _recurrent(_Pool(gens).sections)
         batches.clear()
         res = compute_nucleus(gens, bound, depth)
+        # the first batch pairs every seed with every seed
+        assert batches[0] == (len(seeds) ** 2, 0)
         if res.reason == "elements":
             # a closure that passes its bound never reaches the certificate: one explore per batch
             most = max(most, len(batches))
+        if res.is_contracting:
+            # N is closed under sections, so the closure meets exactly the pairs of N before the certificate
+            assert batches[-1][1] == len(res.elements) ** 2
         ref = nucleus_by_products(gens, bound, depth)
         assert (res.verdict, res.reason, res.elements, res.depth, res.witness_count) == (
             ref.verdict, ref.reason, ref.elements, ref.depth, ref.witness_count
@@ -560,6 +568,35 @@ def test_nucleus_matches_product_oracle_on_generated_automata(monkeypatch):
     assert outcomes == {None, "elements", "depth"}
     # the bounds reach past the first doublings of the closure's batches
     assert most >= 3
+    # basilica: 5 seeds, one doubled batch after theirs, then the certificate; N has 7 elements
+    batches.clear()
+    res = compute_nucleus(_load("basilica")[2])
+    assert len(res.elements) == 7
+    assert batches == [(25, 0), (24, 25), (49, 49)]
+
+
+def test_nucleus_elements_are_queue_renumberings_of_pool_states(monkeypatch):
+    calls = []
+    bfs_roots = engine._bfs_roots
+
+    def recorded(tables, roots):
+        out = bfs_roots(tables, roots)
+        calls.append((tables, list(roots), out))
+        return out
+
+    monkeypatch.setattr(engine, "_bfs_roots", recorded)
+    contracting = [e.key for e in catalog_list() if any(p[0] == "contracting" for p in e.expected)]
+    assert len(contracting) == 12
+    for key in contracting:
+        calls.clear()
+        res = compute_nucleus(_load(key)[2])
+        # one walk for the generators and one for the members, each serving every root
+        assert len(calls) == 2
+        assert [el for _, el in res.gen_elements] == calls[0][2]
+        assert sorted(calls[1][2], key=lambda e: e.sort_key) == list(res.elements)
+        for (images, sections), roots, got in calls:
+            lists = images.tolist(), sections.tolist()
+            assert got == [bfs_root_by_tuples(lists, r) for r in roots]
 
 
 def test_is_recurrent_matches_product_oracle_on_generated_automata():
