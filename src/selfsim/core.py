@@ -19,9 +19,7 @@ here and shared with the engine's canonical elements, the Schreier level
 tables and the boundary-point equivalence arrows. Breadth-first
 reachability is one array walk over rows of successors, with a seen mask:
 table states through their section rows, pairs of pool states through the
-pair graph, or letters through the generators' images. One walk serves
-several roots, each numbering its own part in its own breadth-first order:
-it runs on each root's copy of the states the roots reach.
+pair graph, or letters through the generators' images.
 
 Product, quotient and inverse rows compute on (n, k) int64 numpy tables
 only. A MealyAutomaton reads its rows into such arrays once, its tables
@@ -337,7 +335,7 @@ def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
     breadth first from class 0 too: a class's first member is met at the first
     member of the earliest class leading to it, at its least letter into it.
     Engine products and canonical_state rely on this; section, state_element,
-    inverse and pool members are built otherwise and renumbered by _parts.
+    inverse and pool members are built otherwise and renumbered by _restrict.
     """
     images, sections = tables
     k, e = images.shape[1], len(images)
@@ -411,39 +409,6 @@ def _restrict(tables: Arrays, roots: Sequence[int]) -> tuple[np.ndarray, Arrays]
     number = np.full(len(images), -1)
     number[order] = np.arange(len(order))
     return number, (images[order], number[sections[order]])
-
-
-class _Copies:
-    """Successor rows of node r * m + s, root r's copy of state s of an m-state table: r's copies of its sections."""
-
-    def __init__(self, sections: np.ndarray) -> None:
-        self.sections = sections
-
-    def __getitem__(self, nodes: np.ndarray) -> np.ndarray:
-        copy, state = np.divmod(nodes, len(self.sections))
-        return (copy * len(self.sections))[:, None] + self.sections[state]
-
-
-def _parts(tables: Arrays, roots: Sequence[int]) -> tuple[np.ndarray, Arrays]:
-    """Each root's part of a table, numbered breadth first from that root, stacked root after root.
-
-    Returns where each part starts and the stacked tables, whose sections
-    number the stack. One walk serves every root: it runs on root r's copy of
-    each state the roots reach, node r * m + s, behind a mask of roots times
-    reached states as bytes. Copies of different roots never meet, so each
-    root's nodes come in the order of its own queue, as _restrict numbers them.
-    """
-    number, (images, sections) = _restrict(tables, roots)
-    # one root's part is the union's, numbered already: a second walk would triple the cost
-    if len(roots) == 1:
-        return np.zeros(1, dtype=np.int64), (images, sections)
-    m, copies = len(images), _Copies(sections)
-    nodes = _reachable(copies, np.arange(len(roots)) * m + number[roots], np.zeros(len(roots) * m, dtype=bool))
-    # grouped by root, each root's nodes still in queue order
-    nodes = nodes[np.argsort(nodes // m, kind="stable")]
-    by_node = np.argsort(nodes)
-    below = by_node[np.searchsorted(nodes[by_node], copies[nodes])]
-    return np.searchsorted(nodes // m, np.arange(len(roots))), (images[nodes % m], below)
 
 
 def _recurrent(successors: np.ndarray) -> list[int]:

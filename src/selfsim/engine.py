@@ -20,19 +20,19 @@ pool's pair graph, kept in arrays: sorted pair keys, successor pairs and
 pool states. The closure, its depth certificate and the word ball around the
 identity, whose spheres the recurrence test searches, explore it a frontier
 of pairs at a time and place new pairs with one quotient of the pool per
-batch. The closure's first batch pairs every seed with every seed; after it
-the batches double, so there are logarithmically many quotients. No product
-is canonicalized on its own.
+batch. The closure's first batch pairs the seeds, the recurrent sections
+of the generators, up to twice the end the doubling rule would take; after
+it the batches double, so there are logarithmically many quotients. No
+product is canonicalized on its own.
 
 The table operations behind canonical elements run on numpy tables in
 selfsim.core: product, quotient, inverse rows and the breadth-first
-renumbering, core._parts. A product is numbered once: its tuples come
+renumbering, core._restrict. A product is numbered once: its tuples come
 breadth first from the root and the quotient numbers classes by first
 occurrence, which is breadth-first order on the classes, so canonicalize,
 canonical_state, products and powers take the quotient's tables as they are.
-Tables not built breadth first from their root are renumbered by _parts,
-one walk for every root of a call: section, state_element, inverse, the
-generators, the nucleus members and recurrent sections. A CanonicalElement
+Tables not built breadth first from their root are renumbered by _restrict:
+section, state_element, inverse and the pool's members. A CanonicalElement
 holds its two tables as the bytes of (n, k) int64 arrays, so the kernel reads
 them back without a conversion.
 """
@@ -56,27 +56,21 @@ from .core import (
     _automaton_of,
     _distinct,
     _inverse_rows,
-    _parts,
     _product_tables,
     _quotient,
     _reachable,
     _recurrent,
+    _restrict,
     _unseen,
     _walk,
     invert,
 )
 
 
-def _bfs_roots(tables: Arrays, roots: Sequence[int]) -> list["CanonicalElement"]:
-    """The part reachable from each root as a canonical element, renumbered breadth first: one walk."""
-    starts, (images, sections) = _parts(tables, roots)
-    bounds = itertools.pairwise([*starts.tolist(), len(images)])
-    return [CanonicalElement(images.shape[1], images[a:b].tobytes(), (sections[a:b] - a).tobytes()) for a, b in bounds]
-
-
 def _bfs_root(tables: Arrays, root: int) -> "CanonicalElement":
     """The part reachable from root as a canonical element, renumbered breadth first."""
-    return _bfs_roots(tables, [root])[0]
+    images, sections = _restrict(tables, [root])[1]
+    return CanonicalElement(images.shape[1], images.tobytes(), sections.tobytes())
 
 
 def _product(tables: Arrays, root: Sequence[int]) -> "CanonicalElement":
@@ -224,7 +218,10 @@ def recurrent_sections(e: CanonicalElement) -> list[CanonicalElement]:
     hit at unboundedly many depths. They are what is left after peeling off
     states no remaining section points to, listed in ascending state order.
     """
-    return list(dict.fromkeys(_bfs_roots((e.perms, e.sections), _recurrent(e.sections))))
+    uniq: dict[CanonicalElement, None] = {}
+    for j in _recurrent(e.sections):
+        uniq.setdefault(e.state_element(j))
+    return list(uniq)
 
 
 @dataclass(frozen=True)
@@ -332,9 +329,12 @@ class _Pool:
         # row e is the identity
         images, sections = np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
         roots = [e, *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
-        starts, stacked = _parts((images, sections), roots)
-        color, _, (self.images, self.sections) = _quotient(stacked)
-        self.ids = color[starts]
+        order = np.concatenate([_reachable(sections, [r]) for r in roots])
+        # a state met by several roots has a row in each; sections point at its first
+        row = np.full(e + 1, len(order))
+        np.minimum.at(row, order, np.arange(len(order)))
+        color, _, (self.images, self.sections) = _quotient((images[order], row[sections[order]]))
+        self.ids = color[row[roots]]
         # pair numbers and pool states fit in int32, which halves most of the pair store
         self.cls = np.empty(0, dtype=np.int32)
         self.succ = np.empty((0, self.images.shape[1]), dtype=np.int32)
@@ -423,29 +423,36 @@ def compute_nucleus(
     Members start as the seeds, the recurrent sections of S: the identity,
     the generators and their inverses. The recurrent sections of a product
     l r of members are the pairs behind a cycle of the pair graph below
-    (l, r). The closure's first batch is every pair of seeds. After it, a
-    batch takes the root pairs of the next members in the order they joined,
-    every pair of members with one of them among those, until there are as
-    many roots as pool states or pairs met so far, so batches double. Each
-    batch explores its roots and places the pairs behind its cycles in the
-    pool as members; the closure stops as soon as there are more than
-    max_elements. The certificate places every pair below (S u N)^2 and
-    gives each pool state a need: a state in N needs level 0, any other
-    state and every root one level more than its sections need. A need
-    above max_depth, or a cycle of states outside N, is bound-exceeded.
+    (l, r). A batch takes the root pairs of the next members in the order
+    they joined, every pair of members with one of them among those, until
+    there are as many roots as pool states or pairs met so far, so batches
+    double. The first batch takes every pair of seeds instead, but ends at
+    most at twice the end that rule gives, so it holds at most four times
+    the roots the rule would take first. Each batch explores its roots and
+    places the pairs behind its cycles in the pool as members; the closure
+    stops as soon as there are more than max_elements. The certificate
+    places every pair below (S u N)^2 and gives each pool state a need: a
+    state in N needs level 0, any other state and every root one level more
+    than its sections need. A need above max_depth, or a cycle of states
+    outside N, is bound-exceeded.
     """
     if max_elements < 0 or max_depth < 0:
         raise ValueError("max_elements and max_depth must not be negative")
     pool = _Pool(gens)
     tables = pool.images, pool.sections
-    gen_elements = tuple(zip((g.name for g in gens), _bfs_roots(tables, pool.ids[1::2])))
+    gen_elements = tuple((g.name, _bfs_root(tables, i)) for g, i in zip(gens, pool.ids[1::2].tolist()))
     # every pool state is a section of S, so the recurrent ones are S's recurrent sections
     members = _recurrent(pool.sections)
     member_set = set(members)
     # members join a batch at a time, and the one that passes the bound is the witness
     bound = max(len(members), max_elements)
-    # the first batch pairs every seed with every seed
-    done, end = 0, len(members)
+
+    def doubled(done: int) -> int:
+        # the least end with end^2 - done^2 roots at least the pool states and the pairs met
+        return min(len(members), math.isqrt(done * done + max(len(pool.images), len(pool.cls)) - 1) + 1)
+
+    # the first batch pairs the seeds: a few seeds take one round, many at most four times the rule's roots
+    done, end = 0, min(len(members), 2 * doubled(0))
     while done < len(members):
         ids = np.array(members[:end], dtype=np.int64)
         start = pool.explore(np.concatenate([(ids[done:, None] << 32 | ids).ravel(),
@@ -465,11 +472,9 @@ def compute_nucleus(
                 witness_count=bound + 1, reason="elements",
                 gen_elements=gen_elements,
             )
-        # the least end with end^2 - done^2 roots at least the pool states and the pairs met
-        end = min(len(members), math.isqrt(done * done + max(len(pool.images), len(pool.cls)) - 1) + 1)
+        end = doubled(done)
 
-    # members are closed under sections, so the walk's mask is |N|^2 bytes
-    elements = tuple(sorted(_bfs_roots((pool.images, pool.sections), members), key=lambda e: e.sort_key))
+    elements = tuple(sorted((_bfs_root((pool.images, pool.sections), m) for m in members), key=lambda e: e.sort_key))
 
     ids = np.array(list(dict.fromkeys([*pool.ids.tolist(), *members])), dtype=np.int64)
     tops = pool.add((ids[:, None] << 32 | ids).ravel())

@@ -25,9 +25,9 @@ from selfsim import (
     word,
     word_str,
 )
-from selfsim.core import _parts, _reachable, _recurrent, _restrict, refine_partition
+from selfsim.core import _reachable, _recurrent, refine_partition
 
-from ._oracles import bfs_root_by_tuples, doc_act, reachable_by_queue, recurrent_nodes, refine_by_signatures, words_upto
+from ._oracles import doc_act, reachable_by_queue, recurrent_nodes, refine_by_signatures, words_upto
 
 
 def _basilica():
@@ -390,29 +390,6 @@ def _same_action(images, sections, i, j, depth):
         return out
 
     return all(act(i, w) == act(j, w) for w in words_upto(len(images[0]), depth))
-
-
-def test_parts_match_one_root_walks_on_generated_tables():
-    rng = random.Random(13)
-    for k in (1, 2, 3):
-        for n in (1, 2, 3, 5, 10, 17, 40):
-            for _ in range(4):
-                images, sections = _generated_table(rng, n, k)
-                tables = np.array(images, dtype=np.int64), np.array(sections, dtype=np.int64)
-                # repeated roots, in random order; their parts mostly overlap
-                roots = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
-                roots += rng.sample(roots, len(roots) // 2)
-                starts, (part_images, part_sections) = _parts(tables, roots)
-                assert starts.tolist() == sorted(starts.tolist()) and starts[0] == 0
-                ends = [*starts[1:].tolist(), len(part_images)]
-                for r, a, b in zip(roots, starts.tolist(), ends):
-                    part = part_images[a:b], part_sections[a:b] - a
-                    assert ((0 <= part[1]) & (part[1] < b - a)).all()
-                    for got, want in zip(part, _restrict(tables, [r])[1]):
-                        assert got.dtype == want.dtype == np.int64
-                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                    want = bfs_root_by_tuples((images, sections), r)
-                    assert (part[0].tobytes(), part[1].tobytes()) == (want.image_bytes, want.section_bytes)
 
 
 def test_refine_partition_matches_signature_oracle():

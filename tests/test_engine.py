@@ -1,5 +1,6 @@
 """Canonical elements, the word problem, nucleus computation, recurrence."""
 
+import math
 import random
 from itertools import product
 
@@ -532,11 +533,13 @@ def test_nucleus_matches_product_oracle_on_generated_automata(monkeypatch):
         doc = (_random_document if t % 2 else _random_bounded_document)(rng)
         _, gens = to_automaton(doc)
         bound, depth = rng.choice((3, 12, 48, 96)), rng.choice((1, 2, 3, 8))
-        seeds = _recurrent(_Pool(gens).sections)
+        pool = _Pool(gens)
+        seeds = _recurrent(pool.sections)
         batches.clear()
         res = compute_nucleus(gens, bound, depth)
-        # the first batch pairs every seed with every seed
-        assert batches[0] == (len(seeds) ** 2, 0)
+        # the first batch pairs the seeds, up to twice the doubling rule's first end
+        end = min(len(seeds), 2 * (math.isqrt(len(pool.images) - 1) + 1))
+        assert batches[0] == (end**2, 0)
         if res.reason == "elements":
             # a closure that passes its bound never reaches the certificate: one explore per batch
             most = max(most, len(batches))
@@ -573,30 +576,34 @@ def test_nucleus_matches_product_oracle_on_generated_automata(monkeypatch):
     res = compute_nucleus(_load("basilica")[2])
     assert len(res.elements) == 7
     assert batches == [(25, 0), (24, 25), (49, 49)]
+    # mother-3-3: 62 seeds among 62 pool states, so the first batch ends at 2 * 8, not at 62
+    batches.clear()
+    compute_nucleus(_load("mother-3-3")[2], 0)
+    assert batches[0] == (16**2, 0)
 
 
 def test_nucleus_elements_are_queue_renumberings_of_pool_states(monkeypatch):
     calls = []
-    bfs_roots = engine._bfs_roots
+    bfs_root = engine._bfs_root
 
-    def recorded(tables, roots):
-        out = bfs_roots(tables, roots)
-        calls.append((tables, list(roots), out))
+    def recorded(tables, root):
+        out = bfs_root(tables, root)
+        calls.append((tables, root, out))
         return out
 
-    monkeypatch.setattr(engine, "_bfs_roots", recorded)
+    monkeypatch.setattr(engine, "_bfs_root", recorded)
     contracting = [e.key for e in catalog_list() if any(p[0] == "contracting" for p in e.expected)]
     assert len(contracting) == 12
     for key in contracting:
         calls.clear()
-        res = compute_nucleus(_load(key)[2])
-        # one walk for the generators and one for the members, each serving every root
-        assert len(calls) == 2
-        assert [el for _, el in res.gen_elements] == calls[0][2]
-        assert sorted(calls[1][2], key=lambda e: e.sort_key) == list(res.elements)
-        for (images, sections), roots, got in calls:
-            lists = images.tolist(), sections.tolist()
-            assert got == [bfs_root_by_tuples(lists, r) for r in roots]
+        gens = _load(key)[2]
+        res = compute_nucleus(gens)
+        # one walk per generator, then one per member
+        assert len(calls) == len(gens) + len(res.elements)
+        assert [el for _, el in res.gen_elements] == [out for _, _, out in calls[: len(gens)]]
+        assert sorted((out for _, _, out in calls[len(gens):]), key=lambda e: e.sort_key) == list(res.elements)
+        for (images, sections), root, got in calls:
+            assert got == bfs_root_by_tuples((images.tolist(), sections.tolist()), root)
 
 
 def test_is_recurrent_matches_product_oracle_on_generated_automata():
