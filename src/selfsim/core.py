@@ -82,10 +82,6 @@ class Alphabet:
         if self.size < 1:
             raise ValueError("alphabet size must be at least 1")
 
-    @property
-    def letters(self) -> range:
-        return range(self.size)
-
     def check_word(self, letters: Sequence[int] | str) -> tuple[int, ...]:
         w = word(letters)
         for x in w:
@@ -144,18 +140,6 @@ class Permutation:
 
     def __call__(self, x: int) -> int:
         return self.images[x]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(x) = self(other(x))."""
-        return Permutation(tuple(self.images[y] for y in other.images))
-
-    __mul__ = compose
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
 
     @property
     def is_identity(self) -> bool:
@@ -231,10 +215,6 @@ class MealyAutomaton:
             inv_images, inv_sections = _inverse_rows(tables)
             if not ((images[inv] == inv_images).all() and (sections[inv] == inv[inv_sections]).all()):
                 raise ValueError("inverse_index must name a state acting as each state's inverse")
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
 
     def __len__(self) -> int:
         return len(self.names)

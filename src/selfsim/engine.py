@@ -44,6 +44,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .core import (
     _reachable,
     _recurrent,
     _restrict,
+    _tuples,
     _unseen,
     _walk,
     invert,
@@ -172,16 +174,6 @@ class GroupWord:
             if exp not in (1, -1):
                 raise ValueError("exponents must be +1 or -1")
 
-    def reduce(self) -> "GroupWord":
-        """Free reduction: cancel adjacent g g^-1 pairs."""
-        stack: list[tuple[int, int]] = []
-        for f in self.factors:
-            if stack and stack[-1][0] == f[0] and stack[-1][1] == -f[1]:
-                stack.pop()
-            else:
-                stack.append(f)
-        return GroupWord(self.generators, tuple(stack))
-
     def inverse(self) -> "GroupWord":
         return GroupWord(self.generators, tuple((p, -e) for p, e in reversed(self.factors)))
 
@@ -232,7 +224,8 @@ class NucleusResult:
     at which every product of two elements of S union N has all its sections
     back inside N, or "bound-exceeded" when the closure passed max_elements
     (reason "elements") or no such depth was certified within max_depth
-    (reason "depth").
+    (reason "depth"). The nucleus Moore table, moore_tables, and the element
+    names are derived here from elements, once per result.
     """
 
     verdict: str
@@ -248,36 +241,46 @@ class NucleusResult:
     def is_contracting(self) -> bool:
         return self.verdict == "contracting"
 
-    def element_names(self) -> list[str]:
-        """Deterministic printable names: id, generator names, then n<i>."""
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        if not self.is_contracting:
+            raise NotContractingError("no nucleus: verdict is bound-exceeded")
         assert self.elements is not None
         named: dict[CanonicalElement, str] = {CanonicalElement.identity(self.elements[0].k if self.elements else 2): "id"}
         for name, el in self.gen_elements:
             named.setdefault(el, name)
             named.setdefault(el.inverse(), name + "^-1")
-        out = []
-        for i, el in enumerate(self.elements):
-            out.append(named.get(el, f"n{i}"))
-        return out
+        return tuple(named.get(el, f"n{i}") for i, el in enumerate(self.elements))
 
-    def moore_automaton(self) -> tuple[MealyAutomaton, dict[CanonicalElement, int]]:
-        """The nucleus as a Mealy automaton; the nucleus is closed under sections."""
+    def element_names(self) -> list[str]:
+        """Deterministic printable names: id, generator names, then n<i>."""
+        return list(self._names)
+
+    @cached_property
+    def moore_tables(self) -> Arrays:
+        """(outputs, sections) of the nucleus Moore diagram: read-only (n, k) int64 arrays, row i for elements[i]."""
         if not self.is_contracting:
             raise NotContractingError("no nucleus: verdict is bound-exceeded")
         assert self.elements is not None
-        index = {el: i for i, el in enumerate(self.elements)}
-        k = self.elements[0].k
-        names = tuple(self.element_names())
-        perms = tuple(Permutation(tuple(el.perms[0].tolist())) for el in self.elements)
         # one quotient of all the elements' tables, stacked; each root's section class is some root's class
         starts = np.cumsum([0, *(el.size for el in self.elements)])[:-1]
-        color, _, (_, below) = _quotient((
+        color, _, (images, below) = _quotient((
             np.concatenate([el.perms for el in self.elements]),
             np.concatenate([el.sections + start for el, start in zip(self.elements, starts)]),
         ))
-        element_of = dict(zip(color[starts].tolist(), range(len(self.elements))))
-        sections = tuple(tuple(map(element_of.__getitem__, row)) for row in below[color[starts]].tolist())
-        return MealyAutomaton(Alphabet(k), names, perms, sections), index
+        roots = color[starts]
+        element_of = dict(zip(roots.tolist(), range(len(roots))))
+        sections = np.array([[element_of[c] for c in row] for row in below[roots].tolist()], dtype=np.int64)
+        outputs = images[roots]
+        outputs.flags.writeable = sections.flags.writeable = False
+        return outputs, sections
+
+    def moore_automaton(self) -> tuple[MealyAutomaton, dict[CanonicalElement, int]]:
+        """The nucleus as a Mealy automaton on moore_tables; the nucleus is closed under sections."""
+        outputs, sections = self.moore_tables
+        index = {el: i for i, el in enumerate(self.elements)}
+        perms = tuple(map(Permutation, _tuples(outputs)))
+        return MealyAutomaton(Alphabet(outputs.shape[1]), self._names, perms, _tuples(sections)), index
 
 
 class NotContractingError(RuntimeError):

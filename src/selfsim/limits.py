@@ -14,7 +14,8 @@ forever lies on a cycle of these arrows from level m + 1 on. One phase-0
 cycle state therefore fixes the whole path, the preperiod states below it
 included. Deciding p ~ q keeps the arrows that write q and takes the least
 such state's lasso as the witness; the class of p keeps every arrow and
-collects what each lasso writes.
+collects what each lasso writes. Both read NucleusResult.moore_tables, the
+Moore table that the engine derives once per nucleus result.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import Arrays, _automaton_of, word, word_str
+from .core import _automaton_of, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -131,16 +132,6 @@ class EquivalenceWitness:
         return True
 
 
-def _moore_tables(nucleus: NucleusResult) -> Arrays:
-    """(outputs, sections) of the nucleus Moore diagram as arrays, built once per nucleus."""
-    tables = vars(nucleus).get("_moore_tables")
-    if tables is None:
-        tables = nucleus.moore_automaton()[0].tables
-        # the result is frozen; the tables are derived data, not a field
-        object.__setattr__(nucleus, "_moore_tables", tables)
-    return tables
-
-
 def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = None):
     """The state paths that read p and write q (anything, when q is None), as lassos.
 
@@ -153,7 +144,7 @@ def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = 
     graph, so pointer doubling finds its cycle nodes: after len(arrows) steps
     or more every path is on a cycle, or in a sink that stands for no arrow.
     """
-    out, sec = _moore_tables(nucleus)
+    out, sec = nucleus.moore_tables
     points = (p,) if q is None else (p, q)
     for point in points:
         _check_point(point, out.shape[1])
@@ -200,7 +191,7 @@ def asymptotic_equivalent(
 
 def equivalence_class(nucleus: NucleusResult, p: BoundaryPoint) -> set[BoundaryPoint]:
     """All eventually periodic points equivalent to p: what each lasso reading p writes."""
-    out, _ = _moore_tables(nucleus)
+    out, _ = nucleus.moore_tables
     m = len(p.preperiod)
     results = set()
     for tail, cycle in _lassos(nucleus, p):

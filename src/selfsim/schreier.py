@@ -29,20 +29,14 @@ class ResourceCapError(RuntimeError):
     """A requested structure exceeds the configured vertex cap."""
 
 
-def _effective_cap(vertex_cap: int | None) -> int:
-    if vertex_cap is not None:
-        return vertex_cap
-    env = os.environ.get(ENV_VERTEX_CAP)
-    if env:
+def _check_cap(count: int, vertex_cap: int | None) -> None:
+    cap = vertex_cap
+    if cap is None:
+        env = os.environ.get(ENV_VERTEX_CAP)
         try:
-            return int(env)
+            cap = int(env) if env else DEFAULT_VERTEX_CAP
         except ValueError:
             raise ValueError(f"{ENV_VERTEX_CAP} must be an integer, got {env!r}") from None
-    return DEFAULT_VERTEX_CAP
-
-
-def _check_cap(count: int, vertex_cap: int | None) -> None:
-    cap = _effective_cap(vertex_cap)
     if count > cap:
         raise ResourceCapError(
             f"{count} vertices exceed the cap of {cap}; raise it explicitly or via {ENV_VERTEX_CAP}"
@@ -126,14 +120,6 @@ def _component_roots(images: Sequence[np.ndarray], total: int) -> np.ndarray:
             return parent
 
 
-def _components(images: Sequence[np.ndarray], total: int) -> list[np.ndarray]:
-    """Vertex sets of the components, each sorted, ordered by least vertex."""
-    roots = _component_roots(images, total)
-    order = np.argsort(roots, kind="stable")
-    starts = np.flatnonzero(np.diff(roots[order])) + 1
-    return np.split(order, starts)
-
-
 @dataclass
 class LabeledSchreierGraph:
     """Arrows v -> s(v) on level `level`, one per generator and vertex."""
@@ -150,9 +136,6 @@ class LabeledSchreierGraph:
     @property
     def arrow_count(self) -> int:
         return len(self.gen_labels) * self.vertex_count
-
-    def vertex_word(self, i: int) -> tuple[int, ...]:
-        return Alphabet(self.alphabet_size).word_at(i, self.level)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -195,7 +178,10 @@ def simplicial(graph: LabeledSchreierGraph) -> SimplicialGraph:
 
 def connected_components(graph: LabeledSchreierGraph) -> list[np.ndarray]:
     """Partition of the vertices, each component sorted, ordered by least vertex."""
-    return _components(graph.images, graph.vertex_count)
+    roots = _component_roots(graph.images, graph.vertex_count)
+    order = np.argsort(roots, kind="stable")
+    starts = np.flatnonzero(np.diff(roots[order])) + 1
+    return np.split(order, starts)
 
 
 def pointed_component(

@@ -93,13 +93,6 @@ def test_canonicalize_matches_word_oracle():
             assert el.act(w) == word_act(doc, factors, w)
 
 
-def test_group_word_reduce_cancels_adjacent_inverses():
-    _, _, gens = _load("basilica")
-    gw = _gw(gens, (0, 1), (1, 1), (1, -1), (0, 1))
-    assert gw.reduce().factors == ((0, 1), (0, 1))
-    assert _gw(gens, (0, 1), (0, -1)).reduce().factors == ()
-
-
 def test_group_word_algebra():
     _, _, gens = _load("basilica")
     g = _gw(gens, (0, 1), (1, 1))
@@ -362,6 +355,8 @@ def test_moore_automaton_requires_contraction():
     res = compute_nucleus(gens, max_elements=50)
     with pytest.raises(NotContractingError):
         res.moore_automaton()
+    with pytest.raises(NotContractingError):
+        res.element_names()
 
 
 def test_nucleus_gen_elements_names():

@@ -198,7 +198,7 @@ def test_labels_stay_distinct_over_more_than_ten_letters():
     # every label reads back as its own word, and a level-1 label points its component
     for n in range(1, 5):
         level = build_schreier(gens, n)
-        assert all(word(label) == level.vertex_word(i) for i, label in enumerate(level.labels))
+        assert all(word(label) == Alphabet(11).word_at(i, n) for i, label in enumerate(level.labels))
     comp, at = pointed_component(gens, build_schreier(gens, 1).labels[10], 1)
     assert comp.labels[at] == "10."
 

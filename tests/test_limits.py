@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import selfsim.engine
 from selfsim import (
     BoundaryPoint,
     CanonicalElement,
@@ -138,25 +139,28 @@ def test_odometer_classes_are_dyadic_expansions():
 
 def test_moore_tables_built_once_per_nucleus(monkeypatch):
     _, nuc = _nucleus("basilica")
+    _, other = _nucleus("odometer")
     calls = []
-    original = NucleusResult.moore_automaton
+    original = selfsim.engine._quotient
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
+    def counted(tables):
+        calls.append(tables)
+        return original(tables)
 
-    monkeypatch.setattr(NucleusResult, "moore_automaton", counted)
+    # the Moore table's derivation is the only quotient a query makes
+    monkeypatch.setattr(selfsim.engine, "_quotient", counted)
     pts = _sample_points()
     verdicts = [asymptotic_equivalent(nuc, p, q)[0] for p in pts for q in pts]
     classes = [equivalence_class(nuc, p) for p in pts]
-    assert calls == [nuc]
+    moore, _ = nuc.moore_automaton()
+    assert [t.tolist() for t in moore.tables] == [t.tolist() for t in nuc.moore_tables]
+    assert len(calls) == 1
     assert any(verdicts) and not all(verdicts)
     assert all(p in cls for p, cls in zip(pts, classes))
-    # another nucleus builds its own tables
-    _, other = _nucleus("odometer")
+    # another nucleus derives its own table
     zero, one = BoundaryPoint.parse("0^w"), BoundaryPoint.parse("1^w")
     assert asymptotic_equivalent(other, zero, one)[0]
-    assert calls == [nuc, other]
+    assert len(calls) == 2
 
 
 def test_equivalence_matches_path_oracle():

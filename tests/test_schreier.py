@@ -45,8 +45,8 @@ def test_graph_counts_and_labels():
         assert g.arrow_count == 2 * 2**n
         assert g.gen_labels == ("a", "b")
         for v in range(g.vertex_count):
-            assert Alphabet(2).index_of(g.vertex_word(v)) == v
-            assert g.vertex_label(v) == "".join(str(x) for x in g.vertex_word(v))
+            assert Alphabet(2).index_of(Alphabet(2).word_at(v, n)) == v
+            assert g.vertex_label(v) == "".join(str(x) for x in Alphabet(2).word_at(v, n))
 
 
 def test_level_zero_graph():
