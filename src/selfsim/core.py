@@ -26,11 +26,11 @@ only. A MealyAutomaton reads its rows into such arrays once, its tables
 field, and canonical elements and the pool hold theirs as arrays already. A
 product finds its state tuples a frontier at a time: one gather of the
 positions' output rows, their prefix compositions by a doubling scan of
-ceil(log2 L) steps, one gather of the sections, and new tuples numbered by
-first occurrence of their bytes. A quotient is Moore refinement in numpy
-rounds, one int64 key and one rank per round, classes numbered by first
-occurrence, its class tables fancy-indexed. The recurrent peel drops nodes
-in numpy rounds too.
+ceil(log2 L) steps, one flat gather of the sections in the scan's layout,
+and new tuples numbered by first occurrence of their bytes. A quotient is
+Moore refinement in numpy rounds, one int64 key ranked by one argsort per
+round until the partition is discrete or stable, classes numbered by first
+occurrence, class tables fancy-indexed. The recurrent peel is numpy rounds too.
 """
 
 from __future__ import annotations
@@ -341,8 +341,10 @@ def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
         while shift < n - 1:
             perms[1 + shift :] = perms[1 + shift :].reshape(-1)[perms[1:-shift] + starts[: n - 1 - shift]]
             shift *= 2
-        rows = sections[frontier[:, None], perms[before].transpose(1, 2, 0)].reshape(-1, n)
-        met = rows.astype(narrow, order="C").view(key).ravel().tolist()
+        # the sections in the scan's (position, tuple, letter) layout, in one flat gather
+        at = perms[before]
+        at += frontier.T[..., None] * k
+        met = sections.ravel()[at].transpose(1, 2, 0).astype(narrow, order="C").view(key).ravel().tolist()
         # tuples not met before take the next numbers in order of first occurrence
         fresh = dict.fromkeys(itertools.filterfalse(number.__contains__, met))
         number.update(zip(fresh, itertools.count(len(number))))
@@ -355,8 +357,8 @@ def _quotient(tables: Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:
     """Quotient by refine_partition: each state's class, each class's first member, class tables."""
     images, sections = tables
     color = refine_partition(images, sections)[0]
-    # classes are numbered by first occurrence, so first members come in class order
-    _, reps = np.unique(color, return_index=True)
+    # classes are numbered by first occurrence: a class's first member is where the running maximum grows
+    reps = np.flatnonzero(np.diff(np.maximum.accumulate(color), prepend=-1))
     return color, reps, (images[reps], color[sections[reps]])
 
 
@@ -436,33 +438,43 @@ def inverse_state(state: StateRef) -> StateRef:
     return StateRef(aut, aut.inverse_index[state.index])
 
 
+def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of a nonempty 1-D int64 array in sorted order, equal entries one rank; and the rank count."""
+    order = np.argsort(key)
+    key = key[order]
+    rank = np.empty_like(order)
+    rank[order[0]] = 0
+    rank[order[1:]] = (key[1:] != key[:-1]).cumsum()
+    return rank, int(rank[order[-1]]) + 1
+
+
 def refine_partition(images: np.ndarray, sections: np.ndarray) -> tuple[np.ndarray, int]:
     """Coarsest partition where classes share output rows and map sections to classes.
 
-    Moore rounds on (n, k) int arrays until the class count stops growing:
-    the output rows (entries below k), then the rows (color[i],
-    color[sections[i, 0]], ...), are folded into one int64 key per state,
-    each column one more digit in radix max(count, k), and ranked by
-    np.unique. A key that would reach 2^62 is ranked first, which compresses
-    it below n. Classes come as an int64 array, numbered by first
-    occurrence; two states share one iff they act alike.
+    Moore rounds on (n, k) int arrays until the class count stops growing or
+    reaches n: the output rows (entries below k), then the rows (color[i],
+    color[sections[i, 0]], ...), are folded a column at a time into one
+    int64 key per state, each column a digit in radix max(count, k), and
+    ranked by one argsort; a key that would reach 2^62 is ranked first.
+    Classes come as an int64 array, renumbered by first occurrence from one
+    stable argsort; two states share one iff they act alike.
     """
     n, k = images.shape
-    color, count, columns = np.zeros(n, dtype=np.int64), 0, images.T
-    while True:
-        radix, key, span = max(count, k), color, max(count, 1)
+    color, count, columns = np.zeros(n, dtype=np.int64), min(n, 1), images.T
+    while count < n:
+        radix, key, span = max(count, k), color, count
         for col in columns:
             if span * radix > 1 << 62:
-                classes, key = np.unique(key, return_inverse=True)
-                span = len(classes)
+                key, span = _rank(key)
             key, span = key * radix, span * radix
             key += col
-        classes, refined = np.unique(key, return_inverse=True)
-        if len(classes) == count:
-            _, first = np.unique(color, return_index=True)
-            return np.argsort(np.argsort(first))[color], count
-        color, count = refined, len(classes)
+        previous, (color, count) = count, _rank(key)
+        if count == previous:
+            break
         columns = (color[col] for col in sections.T)
+    order = np.argsort(color, kind="stable")
+    first = order[np.diff(color[order], prepend=-1) != 0]
+    return (np.bincount(first, minlength=n).cumsum() - 1)[first][color], count
 
 
 def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:

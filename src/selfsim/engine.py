@@ -270,7 +270,10 @@ class NucleusResult:
         ))
         roots = color[starts]
         element_of = dict(zip(roots.tolist(), range(len(roots))))
-        sections = np.array([[element_of[c] for c in row] for row in below[roots].tolist()], dtype=np.int64)
+        sections = np.array([[element_of.get(c, -1) for c in row] for row in below[roots].tolist()], dtype=np.int64)
+        if missing := np.argwhere(sections < 0).tolist():
+            i, x = missing[0]
+            raise ValueError(f"elements are not closed under sections: element {i}'s section at letter {x} is not among them")
         outputs = images[roots]
         outputs.flags.writeable = sections.flags.writeable = False
         return outputs, sections

@@ -25,9 +25,9 @@ from selfsim import (
     word,
     word_str,
 )
-from selfsim.core import _reachable, _recurrent, refine_partition
+from selfsim.core import _quotient, _reachable, _recurrent, refine_partition
 
-from ._oracles import doc_act, reachable_by_queue, recurrent_nodes, refine_by_signatures, words_upto
+from ._oracles import doc_act, quotient_by_tuples, reachable_by_queue, recurrent_nodes, refine_by_signatures, words_upto
 
 
 def _basilica():
@@ -383,10 +383,20 @@ def _same_action(images, sections, i, j, depth):
     return all(act(i, w) == act(j, w) for w in words_upto(len(images[0]), depth))
 
 
+def _check_quotient(images, sections, k):
+    """_quotient against the tuple oracle: colors, first members and class tables."""
+    got = _quotient(tuple(np.array(rows, dtype=np.int64).reshape(-1, k) for rows in (images, sections)))
+    color, reps, (class_images, class_sections) = quotient_by_tuples((images, sections))
+    assert got[0].tolist() == color and got[1].tolist() == reps, (images, sections)
+    assert got[2][0].tolist() == [list(row) for row in class_images]
+    assert got[2][1].tolist() == [list(row) for row in class_sections]
+
+
 def test_refine_partition_matches_signature_oracle():
     color, count = refine_partition(np.empty((0, 2), np.int64), np.empty((0, 2), np.int64))
     assert (color.tolist(), count) == refine_by_signatures([], []) == ([], 0)
     assert color.dtype == np.int64
+    _check_quotient([], [], 2)
     rng = random.Random(11)
     for k in (1, 2, 3, 11):
         for n in (1, 2, 3, 4, 5, 6, 7, 10, 17, 40, 100, 300):
@@ -395,15 +405,19 @@ def test_refine_partition_matches_signature_oracle():
                 color, count = refine_partition(np.array(images), np.array(sections))
                 assert (color.tolist(), count) == refine_by_signatures(images, sections), (k, images, sections)
                 assert count == len(set(color))
+                # with k = 11 and n >= 100 the folded keys pass 2^62 and are re-ranked within a round
+                _check_quotient(images, sections, k)
                 if n <= 6 and k <= 3:
                     # Moore: inequivalent states differ on some word of length below n
                     for i, j in product(range(n), repeat=2):
                         assert (color[i] == color[j]) == _same_action(images, sections, i, j, n)
         if k > 1:
             for n in (2, 6, 50, 300):
+                # discrete: refinement stops at n classes
                 images, sections = _chain(n, k)
                 color, count = refine_partition(np.array(images), np.array(sections))
                 assert (color.tolist(), count) == refine_by_signatures(images, sections) == (list(range(n)), n)
+                _check_quotient(images, sections, k)
 
 
 def test_kernel_tables_hold_python_ints():

@@ -163,6 +163,22 @@ def test_moore_tables_built_once_per_nucleus(monkeypatch):
     assert len(calls) == 2
 
 
+def test_elements_not_closed_under_sections_name_the_missing_section():
+    gens, _ = _nucleus("basilica")
+    a = canonical_state(gens[0])
+    zero, one = BoundaryPoint.parse("0^w"), BoundaryPoint.parse("1^w")
+    # a|0 is not the identity, a|1 is
+    for elements, missing in (((a,), "element 0's section at letter 0"), ((CanonicalElement.identity(2), a), "element 1's section at letter 0")):
+        for query in (
+            lambda nuc: nuc.moore_tables,
+            lambda nuc: nuc.moore_automaton(),
+            lambda nuc: asymptotic_equivalent(nuc, zero, one),
+            lambda nuc: equivalence_class(nuc, zero),
+        ):
+            with pytest.raises(ValueError, match=f"not closed under sections: {missing} is not among them"):
+                query(NucleusResult("contracting", elements, 1, 1, 1))
+
+
 def test_equivalence_matches_path_oracle():
     for key in ("odometer", "basilica", "grigorchuk"):
         _, nuc = _nucleus(key)
