@@ -24,13 +24,17 @@ pair graph, or letters through the generators' images.
 Product, quotient and inverse rows compute on (n, k) int64 numpy tables
 only. A MealyAutomaton reads its rows into such arrays once, its tables
 field, and canonical elements and the pool hold theirs as arrays already. A
-product finds its state tuples a frontier at a time: one gather of the
-positions' output rows, their prefix compositions by a doubling scan of
-ceil(log2 L) steps, one flat gather of the sections in the scan's layout,
-and new tuples numbered by first occurrence of their bytes. A quotient is
-Moore refinement in numpy rounds, one int64 key ranked by one argsort per
-round until the partition is discrete or stable, classes numbered by first
-occurrence, class tables fancy-indexed. The recurrent peel is numpy rounds too.
+product of L factors finds its state tuples, one state per factor, a
+frontier at a time: one gather of the positions' output rows, their prefix
+compositions by a doubling scan of ceil(log2 L) steps, one flat gather of
+the sections in the scan's layout (the first position reads the input
+letter, each other the letter the positions before it wrote), and new
+tuples numbered by first occurrence of their L-state bytes. The cost grows
+with L, so the engine passes a word as blocks of factors, states of a pair
+table. A quotient is Moore refinement in numpy rounds, one int64 key ranked
+by one argsort per round until the partition is discrete or stable, classes
+numbered by first occurrence, class tables fancy-indexed. The recurrent peel
+is numpy rounds too.
 """
 
 from __future__ import annotations
@@ -303,34 +307,32 @@ def _inverse_rows(tables: Arrays) -> Arrays:
 
 
 def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
-    """Tables of the tuples of states of one table reachable from root.
+    """Tables of the tuples of states of one table reachable from a nonempty root.
 
     Factors from several tables are one table with offset state ids. A tuple
     acts as its first component after the second after ... after the last,
     so the last component touches the input word first, and sections follow
-    the product rule componentwise. Tuples are numbered in breadth-first
-    order, root first: a frontier's successors in (tuple, letter) order, as a
-    queue meets them. Every tuple is reachable from the root, so the classes
-    of _quotient of the result, numbered by first occurrence, are numbered
-    breadth first from class 0 too: a class's first member is met at the first
-    member of the earliest class leading to it, at its least letter into it.
-    Engine products and canonical_state rely on this; section, state_element,
-    inverse and pool members are built otherwise and renumbered by _restrict.
+    the product rule componentwise. A tuple has one position per root state
+    and no other: position 0 is the last component and reads the input
+    letter, position j > 0 reads what position j - 1 wrote. Tuples are
+    numbered in breadth-first order, root first: a frontier's successors in
+    (tuple, letter) order, as a queue meets them. Every tuple is reachable
+    from the root, so the classes of _quotient of the result, numbered by
+    first occurrence, are numbered breadth first from class 0 too: a class's
+    first member is met at the first member of the earliest class leading to
+    it, at its least letter into it. Engine products and canonical_state rely
+    on this; section, state_element, inverse and pool members are built
+    otherwise and renumbered by _restrict.
     """
     images, sections = tables
-    k, e = images.shape[1], len(images)
-    # state e is the identity, put first in every tuple: it reads the input letter and hands it on
-    images = np.concatenate((images, [np.arange(k)]))
-    sections = np.concatenate((sections, np.full((1, k), e)))
+    k = images.shape[1]
     # tuples are keyed last position first, the order in which the action reads them, by the
     # bytes of their states in the narrowest dtype that holds them
-    frontier = np.array([e, *root[::-1]])[None]
+    frontier = np.array(root[::-1])[None]
     n = frontier.shape[1]
-    narrow = np.min_scalar_type(e)
+    narrow = np.min_scalar_type(len(images) - 1)
     key = np.dtype((np.void, narrow.itemsize * n))
     number = {frontier.astype(narrow).tobytes(): 0}
-    # position j reads the letter that positions 0..j-1 wrote, position 0 the input letter
-    before = np.maximum(np.arange(n) - 1, 0)
     rounds = []
     while len(frontier):
         # position major, so a shift is a slice; perms[j, t] starts at (j * len(frontier) + t) * k
@@ -338,11 +340,14 @@ def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
         # doubling scan: afterwards perms[j, t] is the output row of positions 0..j in turn
         perms = np.take(images, frontier.T, axis=0)
         shift = 1
-        while shift < n - 1:
-            perms[1 + shift :] = perms[1 + shift :].reshape(-1)[perms[1:-shift] + starts[: n - 1 - shift]]
+        while shift < n:
+            perms[shift:] = perms[shift:].reshape(-1)[perms[:-shift] + starts[: n - shift]]
             shift *= 2
-        # the sections in the scan's (position, tuple, letter) layout, in one flat gather
-        at = perms[before]
+        # the sections in the scan's (position, tuple, letter) layout, in one flat gather: position 0
+        # reads the input letter, position j > 0 the letter that positions 0..j-1 wrote
+        at = np.empty_like(perms)
+        at[0] = np.arange(k)
+        at[1:] = perms[:-1]
         at += frontier.T[..., None] * k
         met = sections.ravel()[at].transpose(1, 2, 0).astype(narrow, order="C").view(key).ravel().tolist()
         # tuples not met before take the next numbers in order of first occurrence

@@ -31,6 +31,12 @@ renumbering, core._restrict. A product is numbered once: its tuples come
 breadth first from the root and the quotient numbers classes by first
 occurrence, which is breadth-first order on the classes, so canonicalize,
 canonical_state, products and powers take the quotient's tables as they are.
+A product's tuples are as wide as its root, so canonicalize multiplies a
+word in blocks of two factors: states of _pair_tables, the ordered pairs of
+the inverse closure's states and an identity state, built once per
+automaton and cached, the identity padding a word of odd length. Pair
+tuples correspond one to one with the word's tuples, in the same
+breadth-first order, so the answer is the same at half the width.
 Tables not built breadth first from their root are renumbered by _restrict:
 section, state_element, inverse and the pool's members. A CanonicalElement
 holds its two tables as the bytes of (n, k) int64 arrays, so the kernel reads
@@ -39,6 +45,7 @@ them back without a conversion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -183,23 +190,45 @@ class GroupWord:
         return GroupWord(self.generators, self.factors + other.factors)
 
 
+def _with_identity(tables: Arrays) -> Arrays:
+    """The tables with one more state, the identity, numbered after the others."""
+    images, sections = tables
+    e, k = images.shape
+    return np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
+
+
+@functools.cache
+def _pair_tables(aut: MealyAutomaton) -> Arrays:
+    """Ordered pairs of aut's states and the identity e = len(aut): pair (a, b) is state a (e + 1) + b, a after b."""
+    images, sections = _with_identity(aut.tables)
+    k = images.shape[1]
+    # b reads the letter x first and writes images[b, x], which a reads
+    pairs = images[:, images].reshape(-1, k), (sections[:, images] * len(images) + sections).reshape(-1, k)
+    for table in pairs:
+        table.flags.writeable = False
+    return pairs
+
+
 def canonical_state(state: StateRef) -> CanonicalElement:
     """Canonical element acting like a single automaton state."""
     return _product(state.automaton.tables, [state.index])
 
 
 def canonicalize(gw: GroupWord) -> CanonicalElement:
-    """Canonical element of a group word; decides the word problem."""
-    base = gw.generators[0].automaton
-    aut = invert(base)
+    """Canonical element of a group word; decides the word problem.
+
+    The word is multiplied in blocks of two factors, as one product over the
+    inverse closure's pair table, a word of odd length padded with the identity.
+    """
+    aut = invert(gw.generators[0].automaton)
     assert aut.inverse_index is not None
     if not gw.factors:
         return CanonicalElement.identity(aut.alphabet.size)
-    factor_states = tuple(
-        gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
-        for pos, exp in gw.factors
-    )
-    return _product(aut.tables, factor_states)
+    e = len(aut)
+    states = [gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
+              for pos, exp in gw.factors]
+    blocks = np.array(states + [e] * (len(states) % 2)).reshape(-1, 2)
+    return _product(_pair_tables(aut), blocks[:, 0] * (e + 1) + blocks[:, 1])
 
 
 def recurrent_sections(e: CanonicalElement) -> list[CanonicalElement]:
@@ -330,10 +359,9 @@ class _Pool:
     def __init__(self, gens: Sequence[StateRef]) -> None:
         aut = invert(_automaton_of(gens))
         assert aut.inverse_index is not None
-        images, sections = aut.tables
-        e, k = images.shape
+        e = len(aut)
         # row e is the identity
-        images, sections = np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
+        images, sections = _with_identity(aut.tables)
         roots = [e, *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
         order = np.concatenate([_reachable(sections, [r]) for r in roots])
         # a state met by several roots has a row in each; sections point at its first

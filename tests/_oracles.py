@@ -171,17 +171,22 @@ def canonical_by_tuples(tables, root) -> CanonicalElement:
 
 
 def canonicalize_by_tuples(gw) -> CanonicalElement:
-    """Canonical element of a group word over the states of an automaton without inverses."""
+    """Canonical element of a group word, one factor per tuple position.
+
+    An automaton without inverses gets its inverse rows as states i + m; an
+    inverse-closed one names its inverses by inverse_index.
+    """
     aut = gw.generators[0].automaton
-    assert not aut.inverse_closed
     if not gw.factors:
         return CanonicalElement.identity(aut.alphabet.size)
-    # the inverse of state i is state i + m
-    m = len(aut)
     images = tuple(p.images for p in aut.perms)
-    inv_images, inv_sections = inverse_rows_by_tuples((images, aut.sections))
-    tables = (images + inv_images, aut.sections + tuple(tuple(j + m for j in row) for row in inv_sections))
-    root = tuple(gw.generators[pos].index + (0 if exp == 1 else m) for pos, exp in gw.factors)
+    tables, inverse = (images, aut.sections), aut.inverse_index
+    if not aut.inverse_closed:
+        m = len(aut)
+        inv_images, inv_sections = inverse_rows_by_tuples(tables)
+        tables = (images + inv_images, aut.sections + tuple(tuple(j + m for j in row) for row in inv_sections))
+        inverse = range(m, 2 * m)
+    root = tuple(gw.generators[pos].index if exp == 1 else inverse[gw.generators[pos].index] for pos, exp in gw.factors)
     return canonical_by_tuples(product_by_tuples([tables] * len(root), root), 0)
 
 

@@ -801,3 +801,78 @@ def test_powers_match_repeated_products_on_generated_automata():
                     for _ in range(abs(n)):
                         expected = mul_by_tuples(expected, base)
                     assert el**n == expected, (k, m, factors, n)
+
+
+def test_canonicalize_takes_one_path_for_every_short_length():
+    # lengths 0 to 3: the empty word, a single factor padded to a block, one full block, and an odd tail
+    for key in ("basilica", "grigorchuk", "lamplighter"):
+        doc, _, gens = _load(key)
+        states = [canonical_state(g) for g in gens]
+        letters = [(pos, exp) for pos in range(len(gens)) for exp in (1, -1)]
+        for length in range(4):
+            for factors in product(letters, repeat=length):
+                el = canonicalize(_gw(gens, *factors))
+                expected = CanonicalElement.identity(doc.alphabet_size)
+                for pos, exp in factors:
+                    expected = expected * states[pos] ** exp
+                assert el == expected, (key, factors)
+                named = [(gens[pos].name, exp) for pos, exp in factors]
+                for w in words_upto(doc.alphabet_size, 4):
+                    assert el.act(w) == word_act(doc, named, w)
+                if length == 1 and factors[0][1] == 1:
+                    assert el == canonical_state(gens[factors[0][0]])
+
+
+def _document_with_identity(rng, k, m):
+    # state e acts as the identity; every other state reaches anything
+    names = ["e"] + [f"s{i}" for i in range(m)]
+    states = [StateDef("e", Permutation(tuple(range(k))), ("e",) * k)]
+    for name in names[1:]:
+        row = tuple(rng.choice(names) for _ in range(k))
+        states.append(StateDef(name, Permutation(tuple(rng.sample(range(k), k))), row))
+    return RecursionDocument(k, tuple(states), tuple(names))
+
+
+def test_pair_blocks_match_tuple_oracle_on_generated_automata():
+    # odd and even lengths, identity states inside the word, and generators of an inverse-closed automaton
+    rng = random.Random(23)
+    for t in range(60):
+        k = rng.choice((2, 3))
+        bounded = t % 2 == 0
+        doc = _random_kernel_document(rng, k, rng.randint(1, 4), True) if bounded else _document_with_identity(
+            rng, k, rng.randint(1, 3))
+        aut, gens = to_automaton(doc)
+        for basis in (tuple(aut.states()), tuple(invert(aut).states())):
+            for length in (1, 2, 3, 4, 7, 8, 17) if bounded else (1, 2, 3, 4, 5):
+                factors = tuple((rng.randrange(len(basis)), rng.choice((1, -1))) for _ in range(length))
+                gw = GroupWord(basis, factors)
+                assert canonicalize(gw) == canonicalize_by_tuples(gw), (t, basis[0].automaton.names, factors)
+
+
+def _random_reduced(rng, gens, length):
+    out = []
+    while len(out) < length:
+        f = (rng.randrange(gens), rng.choice((1, -1)))
+        if not out or out[-1] != (f[0], -f[1]):
+            out.append(f)
+    return tuple(out)
+
+
+def test_long_words_match_powers_and_folds():
+    doc, _, gens = _load("odometer")
+    a = canonical_state(gens[0])
+    rng = random.Random(29)
+    probes = [tuple(rng.randrange(2) for _ in range(14)) for _ in range(16)]
+    for n in (1024, 1025):
+        el = canonicalize(_gw(gens, *[(0, 1)] * n))
+        assert el == a**n
+        for v in probes:
+            assert el.act(v) == word_act(doc, [("a", 1)] * n, v)
+    for key in ("basilica", "grigorchuk"):
+        _, _, gens = _load(key)
+        states = [canonical_state(g) for g in gens]
+        factors = _random_reduced(rng, len(gens), 2000)
+        fold = CanonicalElement.identity(2)
+        for pos, exp in factors:
+            fold = fold * states[pos] ** exp
+        assert canonicalize(_gw(gens, *factors)) == fold, key
