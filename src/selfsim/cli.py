@@ -3,8 +3,12 @@
 Subcommands: gen (level graph export), nucleus, check (catalog expected
 properties), equiv (asymptotic equivalence of two boundary points), ssg
 (self-similarity graph), spectrum, pointed (rooted component of a boundary
-point). Exit codes: 0 success, 1 usage, 2 validation failure, 3 resource
-cap. Verdicts are data: a bound-exceeded nucleus report and a negative
+point). Options shared by subcommands are declared once, in parent parsers,
+so --help lists them before a subcommand's own. A subcommand returns its
+text, which cli_main writes to stdout or --out; check prints as it checks
+and returns its exit code. Exit codes: 0 success, 1 usage, 2 validation
+failure, 3 resource cap; cli_main maps every raised error to its code.
+Verdicts are data: a bound-exceeded nucleus report and a negative
 equivalence answer both exit 0.
 """
 
@@ -12,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 
-from .catalog import UnknownEntryError, catalog_get, check_entry
-from .core import MealyAutomaton, StateRef, invert, inverse_state
+from .catalog import UnknownEntryError, catalog_get, catalog_list, check_entry
+from .core import StateRef, invert, inverse_state
 from .dsl import ParseError, parse, to_automaton
 from .engine import NotContractingError, canonical_state, compute_nucleus
 from .exports import FORMATS, export_graph
@@ -38,29 +43,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_source(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--automaton", metavar="FILE", help="recursion file to load")
-    group.add_argument("--catalog", metavar="KEY", help="built-in catalog entry")
-
-
-def _add_output(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
-
-
-def _load(args) -> tuple[MealyAutomaton, list[StateRef]]:
+def _load(args) -> list[StateRef]:
     if args.catalog is not None:
-        return catalog_get(args.catalog).automaton()
+        return catalog_get(args.catalog).automaton()[1]
     with open(args.automaton, encoding="utf-8") as fh:
-        return to_automaton(parse(fh.read()))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return to_automaton(parse(fh.read()))[1]
 
 
 def _drop_identity(gens: list[StateRef]) -> list[StateRef]:
@@ -80,20 +67,19 @@ def _symmetrize(gens: list[StateRef]) -> list[StateRef]:
     return [closed.state(g.index) for g in gens] + [inverse_state(g) for g in gens]
 
 
-def _cmd_gen(args) -> int:
-    aut, gens = _load(args)
+def _cmd_gen(args) -> str:
+    gens = _load(args)
     if args.drop_identity:
         gens = _drop_identity(gens)
     if args.symmetrize and gens:
         gens = _symmetrize(gens)
     graph = build_schreier(gens, args.level, args.vertex_cap)
     out_graph = simplicial(graph) if args.simplicial else graph
-    _emit(export_graph(out_graph, args.format), args.out)
-    return EXIT_OK
+    return export_graph(out_graph, args.format)
 
 
-def _cmd_nucleus(args) -> int:
-    aut, gens = _load(args)
+def _cmd_nucleus(args) -> str:
+    gens = _load(args)
     res = compute_nucleus(gens, max_elements=args.max_elements, max_depth=args.max_depth)
     lines = [f"verdict: {res.verdict}"]
     if res.is_contracting:
@@ -105,17 +91,11 @@ def _cmd_nucleus(args) -> int:
         lines.append(f"seen: {res.witness_count}")
         lines.append(f"max elements: {res.max_elements}")
         lines.append(f"max depth: {res.max_depth}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_check(args) -> int:
-    if args.all:
-        from .catalog import catalog_list
-
-        entries = catalog_list()
-    else:
-        entries = [catalog_get(args.catalog)]
+    entries = catalog_list() if args.all else [catalog_get(args.catalog)]
     failed = False
     for entry in entries:
         print(f"[{entry.key}] {entry.title}")
@@ -125,20 +105,17 @@ def _cmd_check(args) -> int:
     return EXIT_INVALID if failed else EXIT_OK
 
 
-def _cmd_equiv(args) -> int:
-    aut, gens = _load(args)
+def _cmd_equiv(args) -> str:
+    gens = _load(args)
     # the points are checked first: the closure can take long before it trips a bound
     p, q = BoundaryPoint.parse(args.p), BoundaryPoint.parse(args.q)
     for point in (p, q):
-        _check_point(point, aut.alphabet.size)
+        _check_point(point, gens[0].automaton.alphabet.size)
     res = compute_nucleus(gens, max_elements=args.max_elements, max_depth=args.max_depth)
     if not res.is_contracting:
-        print(
-            "error: nucleus computation exceeded its bounds; "
-            "asymptotic equivalence needs a contracting nucleus",
-            file=sys.stderr,
+        raise NotContractingError(
+            "nucleus computation exceeded its bounds; asymptotic equivalence needs a contracting nucleus"
         )
-        return EXIT_INVALID
     equivalent, witness = asymptotic_equivalent(res, p, q)
     lines = [f"p: {p}", f"q: {q}", f"equivalent: {'true' if equivalent else 'false'}"]
     if witness is not None:
@@ -146,98 +123,81 @@ def _cmd_equiv(args) -> int:
         lines.append("witness tail: " + " ".join(names[s] for s in witness.tail))
         lines.append("witness cycle: " + " ".join(names[s] for s in witness.cycle))
         if not witness.validate(p, q):
-            print("error: witness failed re-validation", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError("witness failed re-validation")
         lines.append("witness validated: true")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_ssg(args) -> int:
-    aut, gens = _load(args)
-    graph = self_similarity_graph(gens, args.depth, args.vertex_cap)
-    _emit(export_graph(graph, args.format), args.out)
-    return EXIT_OK
+def _cmd_ssg(args) -> str:
+    graph = self_similarity_graph(_load(args), args.depth, args.vertex_cap)
+    return export_graph(graph, args.format)
 
 
-def _cmd_spectrum(args) -> int:
-    aut, gens = _load(args)
-    graph = build_schreier(gens, args.level, args.vertex_cap)
+def _cmd_spectrum(args) -> str:
+    graph = build_schreier(_load(args), args.level, args.vertex_cap)
     values = spectrum(graph)
-    _emit("".join(f"{v:.12f}\n" for v in values), args.out)
-    return EXIT_OK
+    return "".join(f"{v:.12f}\n" for v in values)
 
 
-def _cmd_pointed(args) -> int:
-    aut, gens = _load(args)
+def _cmd_pointed(args) -> str:
     xi = BoundaryPoint.parse(args.xi)
-    graph, root = pointed_component(gens, xi, args.level, args.vertex_cap)
-    _emit(export_graph(graph, args.format, root=root), args.out)
-    return EXIT_OK
+    graph, root = pointed_component(_load(args), xi, args.level, args.vertex_cap)
+    return export_graph(graph, args.format, root=root)
 
 
 # built once per process: parse_args fills a new namespace each call and leaves the parser as it was
 @functools.cache
 def _build_parser() -> _Parser:
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--automaton", metavar="FILE", help="recursion file to load")
+    group.add_argument("--catalog", metavar="KEY", help="built-in catalog entry")
+    source.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--vertex-cap", type=int, help="override the vertex safety cap")
+    export = argparse.ArgumentParser(add_help=False)
+    export.add_argument("--format", choices=FORMATS, default="edges")
+    bounds = argparse.ArgumentParser(add_help=False)
+    defaults = inspect.signature(compute_nucleus).parameters
+    bounds.add_argument("--max-elements", type=int, default=defaults["max_elements"].default)
+    bounds.add_argument("--max-depth", type=int, default=defaults["max_depth"].default)
+
     parser = _Parser(prog="selfsim", description="Self-similar group computations.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="build a level graph and export it")
-    _add_source(gen)
+    def command(name, func, summary, *parents):
+        sub = subs.add_parser(name, help=summary, parents=parents)
+        sub.set_defaults(func=func)
+        return sub
+
+    gen = command("gen", _cmd_gen, "build a level graph and export it", source, graph, export)
     gen.add_argument("--level", type=int, required=True, help="tree level n")
-    gen.add_argument("--format", choices=FORMATS, default="edges")
     gen.add_argument("--simplicial", action="store_true", help="forget labels, loops, multiplicity")
     gen.add_argument("--drop-identity", action="store_true", help="omit generators acting trivially")
     gen.add_argument("--symmetrize", action="store_true", help="adjoin inverse generators")
-    gen.add_argument("--vertex-cap", type=int, help="override the vertex safety cap")
-    _add_output(gen)
-    gen.set_defaults(func=_cmd_gen)
 
-    nucleus = subs.add_parser("nucleus", help="nucleus closure with certificate depth")
-    _add_source(nucleus)
-    nucleus.add_argument("--max-elements", type=int, default=10000)
-    nucleus.add_argument("--max-depth", type=int, default=20)
-    _add_output(nucleus)
-    nucleus.set_defaults(func=_cmd_nucleus)
+    command("nucleus", _cmd_nucleus, "nucleus closure with certificate depth", source, bounds)
 
-    check = subs.add_parser("check", help="verify expected properties of catalog entries")
+    check = command("check", _cmd_check, "verify expected properties of catalog entries")
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--catalog", metavar="KEY")
     group.add_argument("--all", action="store_true")
-    check.set_defaults(func=_cmd_check)
 
-    equiv = subs.add_parser("equiv", help="asymptotic equivalence of two boundary points")
-    _add_source(equiv)
+    equiv = command("equiv", _cmd_equiv, "asymptotic equivalence of two boundary points", source, bounds)
     equiv.add_argument("p", help='boundary point, e.g. "1^w" or "10^w 0"')
     equiv.add_argument("q", help="boundary point")
-    equiv.add_argument("--max-elements", type=int, default=10000)
-    equiv.add_argument("--max-depth", type=int, default=20)
-    _add_output(equiv)
-    equiv.set_defaults(func=_cmd_equiv)
 
-    ssg = subs.add_parser("ssg", help="self-similarity graph of words up to a depth")
-    _add_source(ssg)
+    ssg = command("ssg", _cmd_ssg, "self-similarity graph of words up to a depth", source, graph, export)
     ssg.add_argument("--depth", type=int, required=True)
-    ssg.add_argument("--format", choices=FORMATS, default="edges")
-    ssg.add_argument("--vertex-cap", type=int)
-    _add_output(ssg)
-    ssg.set_defaults(func=_cmd_ssg)
 
-    spec = subs.add_parser("spectrum", help="eigenvalues of the level random walk operator")
-    _add_source(spec)
+    spec = command("spectrum", _cmd_spectrum, "eigenvalues of the level random walk operator", source, graph)
     spec.add_argument("--level", type=int, required=True)
-    spec.add_argument("--vertex-cap", type=int)
-    _add_output(spec)
-    spec.set_defaults(func=_cmd_spectrum)
 
-    pointed = subs.add_parser("pointed", help="rooted component of a boundary point prefix")
-    _add_source(pointed)
+    pointed = command(
+        "pointed", _cmd_pointed, "rooted component of a boundary point prefix", source, graph, export
+    )
     pointed.add_argument("--xi", required=True, help='boundary point, e.g. "0^w"')
     pointed.add_argument("--level", type=int, required=True)
-    pointed.add_argument("--format", choices=FORMATS, default="edges")
-    pointed.add_argument("--vertex-cap", type=int)
-    _add_output(pointed)
-    pointed.set_defaults(func=_cmd_pointed)
 
     return parser
 
@@ -249,7 +209,15 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):
+            return result
+        if args.out is None:
+            sys.stdout.write(result)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(result)
+        return EXIT_OK
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

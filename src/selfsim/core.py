@@ -41,14 +41,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
+import weakref
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
 # (images, sections) as (n, k) int64 arrays, the form the kernel computes in: images[i] is
 # the output image row of state i and sections[i, x] the index of its section at letter x
 Arrays = tuple[np.ndarray, np.ndarray]
+_T = TypeVar("_T")
 
 
 def word(letters: Sequence[int] | str) -> tuple[int, ...]:
@@ -175,7 +178,8 @@ class MealyAutomaton:
     sections[i][x] is the index of the state q_i|x, and tables holds both
     as the arrays the kernel reads. When inverse_closed is true the
     automaton contains a formal inverse for every state and inverse_index[i]
-    is its index; inverting twice resolves to the original state.
+    is its index; inverting twice resolves to the original state. An
+    inverse_index is taken only with inverse_closed, and checked there.
     """
 
     alphabet: Alphabet
@@ -209,6 +213,8 @@ class MealyAutomaton:
             raise ValueError(f"section index {sections[outside][0]} out of range")
         images.flags.writeable = sections.flags.writeable = False
         object.__setattr__(self, "tables", tables)
+        if self.inverse_index is not None and not self.inverse_closed:
+            raise ValueError("inverse_index is taken only with inverse_closed")
         if self.inverse_closed:
             if self.inverse_index is None or len(self.inverse_index) != n:
                 raise ValueError("inverse_closed automaton needs a full inverse_index")
@@ -418,15 +424,35 @@ def _recurrent(successors: np.ndarray) -> list[int]:
     return np.flatnonzero(indegree).tolist()
 
 
-@functools.cache
+def _per_automaton(build: Callable[[MealyAutomaton], _T]) -> Callable[[MealyAutomaton], _T]:
+    """build, cached like functools.cache, but each result only while its automaton lives.
+
+    A result must not refer to its automaton, or the automaton never dies.
+    """
+    results: weakref.WeakKeyDictionary[MealyAutomaton, _T] = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def cached(aut: MealyAutomaton) -> _T:
+        result = results.get(aut)
+        if result is None:
+            result = results[aut] = build(aut)
+        return result
+
+    return cached
+
+
 def invert(aut: MealyAutomaton) -> MealyAutomaton:
     """Inverse closure: adjoins a formal inverse state for every state.
 
     On an already inverse-closed automaton this returns the automaton itself,
     so the inverse of an inverse resolves to the original state.
     """
-    if aut.inverse_closed:
-        return aut
+    # uncached when closed: a result that is its own automaton would keep it alive
+    return aut if aut.inverse_closed else _inverse_closure(aut)
+
+
+@_per_automaton
+def _inverse_closure(aut: MealyAutomaton) -> MealyAutomaton:
     m = len(aut)
     inv_images, inv_sections = _inverse_rows(aut.tables)
     names = aut.names + tuple(n + "^-1" for n in aut.names)

@@ -45,7 +45,6 @@ them back without a conversion.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -64,6 +63,7 @@ from .core import (
     _automaton_of,
     _distinct,
     _inverse_rows,
+    _per_automaton,
     _product_tables,
     _quotient,
     _reachable,
@@ -197,7 +197,7 @@ def _with_identity(tables: Arrays) -> Arrays:
     return np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
 
 
-@functools.cache
+@_per_automaton
 def _pair_tables(aut: MealyAutomaton) -> Arrays:
     """Ordered pairs of aut's states and the identity e = len(aut): pair (a, b) is state a (e + 1) + b, a after b."""
     images, sections = _with_identity(aut.tables)

@@ -180,8 +180,9 @@ def connected_components(graph: LabeledSchreierGraph) -> list[np.ndarray]:
     """Partition of the vertices, each component sorted, ordered by least vertex."""
     roots = _component_roots(graph.images, graph.vertex_count)
     order = np.argsort(roots, kind="stable")
-    starts = np.flatnonzero(np.diff(roots[order])) + 1
-    return np.split(order, starts)
+    # plain slices at the component starts: np.split costs several times more per piece
+    cuts = [0, *(np.flatnonzero(np.diff(roots[order])) + 1).tolist(), len(order)]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def pointed_component(

@@ -1,6 +1,8 @@
 """Command line interface: outputs, exit codes, file handling."""
 
+import argparse
 import hashlib
+import inspect
 import os
 import shutil
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import selfsim
-from selfsim import cli, cli_main
+from selfsim import cli, cli_main, compute_nucleus
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 DEMOS = PYPROJECT.parent / "demos"
@@ -203,6 +205,93 @@ def test_parser_built_once_keeps_no_defaults_between_calls(capsys):
     assert [_run(capsys, *argv) for argv in (bounded, plain)] == [fresh[bounded], fresh[plain]]
     assert fresh[bounded] != fresh[plain]
     assert cli._build_parser.cache_info().misses == 1
+
+
+# every subcommand's options as (default, choices, required, help), keyed by option string or
+# positional name, and its mutually exclusive groups; a shared option has one help string everywhere
+_SOURCE = {
+    "--automaton": (None, None, False, "recursion file to load"),
+    "--catalog": (None, None, False, "built-in catalog entry"),
+    "--out": (None, None, False, "write to a file instead of stdout"),
+}
+_SOURCE_GROUP = [(("automaton", "catalog"), True)]
+_VERTEX_CAP = {"--vertex-cap": (None, None, False, "override the vertex safety cap")}
+_FORMAT = {"--format": ("edges", ("edges", "dot", "graphml", "matrix"), False, None)}
+_BOUNDS = {"--max-elements": (10000, None, False, None), "--max-depth": (20, None, False, None)}
+CLI_SURFACE = {
+    "gen": ({
+        **_SOURCE, **_VERTEX_CAP, **_FORMAT,
+        "--level": (None, None, True, "tree level n"),
+        "--simplicial": (False, None, False, "forget labels, loops, multiplicity"),
+        "--drop-identity": (False, None, False, "omit generators acting trivially"),
+        "--symmetrize": (False, None, False, "adjoin inverse generators"),
+    }, _SOURCE_GROUP),
+    "nucleus": ({**_SOURCE, **_BOUNDS}, _SOURCE_GROUP),
+    "check": ({
+        "--catalog": (None, None, False, None),
+        "--all": (False, None, False, None),
+    }, [(("all", "catalog"), True)]),
+    "equiv": ({
+        **_SOURCE, **_BOUNDS,
+        "p": (None, None, True, 'boundary point, e.g. "1^w" or "10^w 0"'),
+        "q": (None, None, True, "boundary point"),
+    }, _SOURCE_GROUP),
+    "ssg": ({**_SOURCE, **_VERTEX_CAP, **_FORMAT, "--depth": (None, None, True, None)}, _SOURCE_GROUP),
+    "spectrum": ({**_SOURCE, **_VERTEX_CAP, "--level": (None, None, True, None)}, _SOURCE_GROUP),
+    "pointed": ({
+        **_SOURCE, **_VERTEX_CAP, **_FORMAT,
+        "--xi": (None, None, True, 'boundary point, e.g. "0^w"'),
+        "--level": (None, None, True, None),
+    }, _SOURCE_GROUP),
+}
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_surface_matches_table():
+    surface = {}
+    for name, sub in _subcommands().items():
+        options = {
+            (a.option_strings[0] if a.option_strings else a.dest): (a.default, a.choices, a.required, a.help)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        groups = sorted(
+            (tuple(sorted(a.dest for a in g._group_actions)), g.required) for g in sub._mutually_exclusive_groups
+        )
+        surface[name] = (options, groups)
+    assert surface == CLI_SURFACE
+
+
+def test_bound_defaults_are_compute_nucleus_defaults():
+    defaults = inspect.signature(compute_nucleus).parameters
+    for name in ("nucleus", "equiv"):
+        actions = _subcommands()[name]._option_string_actions
+        assert actions["--max-elements"].default == defaults["max_elements"].default
+        assert actions["--max-depth"].default == defaults["max_depth"].default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--catalog", "basilica", "--level", "2", "--format", "matrix"),
+        ("nucleus", "--catalog", "basilica"),
+        ("equiv", "--catalog", "odometer", "0^w", "1^w"),
+        ("ssg", "--catalog", "basilica", "--depth", "2"),
+        ("spectrum", "--catalog", "basilica", "--level", "2"),
+        ("pointed", "--catalog", "basilica", "--xi", "0^w", "--level", "2", "--format", "graphml"),
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    target = tmp_path / "out.txt"
+    code, out_with_file, err = _run(capsys, *argv, "--out", str(target))
+    assert (code, out_with_file, err) == (0, "", "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_check_single_entry(capsys):

@@ -1,15 +1,19 @@
 """Canonical elements, the word problem, nucleus computation, recurrence."""
 
+import gc
 import math
 import random
+import weakref
 from itertools import product
 
 import numpy as np
 import pytest
 
 from selfsim import (
+    Alphabet,
     CanonicalElement,
     GroupWord,
+    MealyAutomaton,
     NotContractingError,
     Permutation,
     RecursionDocument,
@@ -847,6 +851,26 @@ def test_pair_blocks_match_tuple_oracle_on_generated_automata():
                 factors = tuple((rng.randrange(len(basis)), rng.choice((1, -1))) for _ in range(length))
                 gw = GroupWord(basis, factors)
                 assert canonicalize(gw) == canonicalize_by_tuples(gw), (t, basis[0].automaton.names, factors)
+
+
+def test_cached_closure_and_pair_table_die_with_their_automaton():
+    # invert and the pair table are cached per automaton; neither cache may keep it alive
+    rng = random.Random(31)
+    n = 5
+    aut = MealyAutomaton(
+        Alphabet(2),
+        tuple(f"weak{i}" for i in range(n)),
+        tuple(Permutation(tuple(rng.sample(range(2), 2))) for _ in range(n)),
+        tuple(tuple(rng.randrange(n) for _ in range(2)) for _ in range(n)),
+    )
+    closed = invert(aut)
+    assert invert(aut) is closed and invert(closed) is closed
+    canonicalize(GroupWord((aut.state(0),), ((0, -1),)))
+    assert engine._pair_tables(closed) is engine._pair_tables(closed)
+    refs = [weakref.ref(aut), weakref.ref(closed)]
+    del aut, closed
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def _random_reduced(rng, gens, length):
