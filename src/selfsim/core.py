@@ -30,28 +30,25 @@ compositions by a doubling scan of ceil(log2 L) steps, one flat gather of
 the sections in the scan's layout (the first position reads the input
 letter, each other the letter the positions before it wrote), and new
 tuples numbered by first occurrence of their L-state bytes. The cost grows
-with L, so the engine passes a word as blocks of factors, states of a pair
-table. A quotient is Moore refinement in numpy rounds, one int64 key ranked
-by one argsort per round until the partition is discrete or stable, classes
-numbered by first occurrence, class tables fancy-indexed. The recurrent peel
-is numpy rounds too.
+with L, so the engine passes a word as blocks of factors, states of the
+_pair_tables an automaton caches. A quotient is Moore refinement in numpy
+rounds, one int64 key ranked by one argsort per round until the partition
+is discrete or stable, classes numbered by first occurrence, class tables
+fancy-indexed. The recurrent peel is numpy rounds too.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import weakref
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TypeVar
+from functools import cached_property
 
 import numpy as np
 
 # (images, sections) as (n, k) int64 arrays, the form the kernel computes in: images[i] is
 # the output image row of state i and sections[i, x] the index of its section at letter x
 Arrays = tuple[np.ndarray, np.ndarray]
-_T = TypeVar("_T")
 
 
 def word(letters: Sequence[int] | str) -> tuple[int, ...]:
@@ -96,15 +93,17 @@ class Alphabet:
                 raise ValueError(f"letter {x} out of range for alphabet of size {self.size}")
         return w
 
-    def index_of(self, w: Sequence[int]) -> int:
+    def index_of(self, w: Sequence[int] | str) -> int:
         """Rank of a word among all words of its length, leftmost letter most significant."""
         i = 0
-        for x in w:
+        for x in self.check_word(w):
             i = i * self.size + x
         return i
 
     def word_at(self, index: int, n: int) -> tuple[int, ...]:
         """Inverse of index_of for words of length n."""
+        if n < 0 or not 0 <= index < self.size**n:
+            raise ValueError(f"index {index} out of range for words of length {n} over {self.size} letters")
         out = [0] * n
         for pos in range(n - 1, -1, -1):
             index, out[pos] = divmod(index, self.size)
@@ -180,6 +179,7 @@ class MealyAutomaton:
     automaton contains a formal inverse for every state and inverse_index[i]
     is its index; inverting twice resolves to the original state. An
     inverse_index is taken only with inverse_closed, and checked there.
+    Derived tables are cached properties, freed with the automaton.
     """
 
     alphabet: Alphabet
@@ -241,6 +241,28 @@ class MealyAutomaton:
 
     def states(self) -> list["StateRef"]:
         return [StateRef(self, i) for i in range(len(self.names))]
+
+    @cached_property
+    def _inverse_closure(self) -> "MealyAutomaton":
+        """This automaton with a formal inverse adjoined for every state, as invert returns it."""
+        m = len(self)
+        inv_images, inv_sections = _inverse_rows(self.tables)
+        names = self.names + tuple(n + "^-1" for n in self.names)
+        perms = self.perms + tuple(Permutation(img) for img in _tuples(inv_images))
+        sections = self.sections + _tuples(inv_sections + m)
+        inverse_index = tuple(range(m, 2 * m)) + tuple(range(m))
+        return MealyAutomaton(self.alphabet, names, perms, sections, True, inverse_index)
+
+    @cached_property
+    def _pair_tables(self) -> Arrays:
+        """Ordered pairs of the states and the identity e = len(self): pair (a, b) is state a (e + 1) + b, a after b."""
+        images, sections = _with_identity(self.tables)
+        k = images.shape[1]
+        # b reads the letter x first and writes images[b, x], which a reads
+        pairs = images[:, images].reshape(-1, k), (sections[:, images] * len(images) + sections).reshape(-1, k)
+        for table in pairs:
+            table.flags.writeable = False
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -310,6 +332,13 @@ def _inverse_rows(tables: Arrays) -> Arrays:
     images, sections = tables
     inverse = np.argsort(images, axis=1)
     return inverse, np.take_along_axis(sections, inverse, axis=1)
+
+
+def _with_identity(tables: Arrays) -> Arrays:
+    """The tables with one more state, the identity, numbered after the others."""
+    images, sections = tables
+    e, k = images.shape
+    return np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
 
 
 def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
@@ -424,42 +453,13 @@ def _recurrent(successors: np.ndarray) -> list[int]:
     return np.flatnonzero(indegree).tolist()
 
 
-def _per_automaton(build: Callable[[MealyAutomaton], _T]) -> Callable[[MealyAutomaton], _T]:
-    """build, cached like functools.cache, but each result only while its automaton lives.
-
-    A result must not refer to its automaton, or the automaton never dies.
-    """
-    results: weakref.WeakKeyDictionary[MealyAutomaton, _T] = weakref.WeakKeyDictionary()
-
-    @functools.wraps(build)
-    def cached(aut: MealyAutomaton) -> _T:
-        result = results.get(aut)
-        if result is None:
-            result = results[aut] = build(aut)
-        return result
-
-    return cached
-
-
 def invert(aut: MealyAutomaton) -> MealyAutomaton:
     """Inverse closure: adjoins a formal inverse state for every state.
 
     On an already inverse-closed automaton this returns the automaton itself,
     so the inverse of an inverse resolves to the original state.
     """
-    # uncached when closed: a result that is its own automaton would keep it alive
-    return aut if aut.inverse_closed else _inverse_closure(aut)
-
-
-@_per_automaton
-def _inverse_closure(aut: MealyAutomaton) -> MealyAutomaton:
-    m = len(aut)
-    inv_images, inv_sections = _inverse_rows(aut.tables)
-    names = aut.names + tuple(n + "^-1" for n in aut.names)
-    perms = aut.perms + tuple(Permutation(img) for img in _tuples(inv_images))
-    sections = aut.sections + _tuples(inv_sections + m)
-    inverse_index = tuple(range(m, 2 * m)) + tuple(range(m))
-    return MealyAutomaton(aut.alphabet, names, perms, sections, True, inverse_index)
+    return aut if aut.inverse_closed else aut._inverse_closure
 
 
 def inverse_state(state: StateRef) -> StateRef:

@@ -32,9 +32,9 @@ breadth first from the root and the quotient numbers classes by first
 occurrence, which is breadth-first order on the classes, so canonicalize,
 canonical_state, products and powers take the quotient's tables as they are.
 A product's tuples are as wide as its root, so canonicalize multiplies a
-word in blocks of two factors: states of _pair_tables, the ordered pairs of
-the inverse closure's states and an identity state, built once per
-automaton and cached, the identity padding a word of odd length. Pair
+word in blocks of two factors: states of the inverse closure's _pair_tables,
+the ordered pairs of its states and an identity state, cached on the closure
+and freed with it, the identity padding a word of odd length. Pair
 tuples correspond one to one with the word's tuples, in the same
 breadth-first order, so the answer is the same at half the width.
 Tables not built breadth first from their root are renumbered by _restrict:
@@ -63,7 +63,6 @@ from .core import (
     _automaton_of,
     _distinct,
     _inverse_rows,
-    _per_automaton,
     _product_tables,
     _quotient,
     _reachable,
@@ -72,6 +71,7 @@ from .core import (
     _tuples,
     _unseen,
     _walk,
+    _with_identity,
     invert,
 )
 
@@ -190,25 +190,6 @@ class GroupWord:
         return GroupWord(self.generators, self.factors + other.factors)
 
 
-def _with_identity(tables: Arrays) -> Arrays:
-    """The tables with one more state, the identity, numbered after the others."""
-    images, sections = tables
-    e, k = images.shape
-    return np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
-
-
-@_per_automaton
-def _pair_tables(aut: MealyAutomaton) -> Arrays:
-    """Ordered pairs of aut's states and the identity e = len(aut): pair (a, b) is state a (e + 1) + b, a after b."""
-    images, sections = _with_identity(aut.tables)
-    k = images.shape[1]
-    # b reads the letter x first and writes images[b, x], which a reads
-    pairs = images[:, images].reshape(-1, k), (sections[:, images] * len(images) + sections).reshape(-1, k)
-    for table in pairs:
-        table.flags.writeable = False
-    return pairs
-
-
 def canonical_state(state: StateRef) -> CanonicalElement:
     """Canonical element acting like a single automaton state."""
     return _product(state.automaton.tables, [state.index])
@@ -228,7 +209,7 @@ def canonicalize(gw: GroupWord) -> CanonicalElement:
     states = [gw.generators[pos].index if exp == 1 else aut.inverse_index[gw.generators[pos].index]
               for pos, exp in gw.factors]
     blocks = np.array(states + [e] * (len(states) % 2)).reshape(-1, 2)
-    return _product(_pair_tables(aut), blocks[:, 0] * (e + 1) + blocks[:, 1])
+    return _product(aut._pair_tables, blocks[:, 0] * (e + 1) + blocks[:, 1])
 
 
 def recurrent_sections(e: CanonicalElement) -> list[CanonicalElement]:

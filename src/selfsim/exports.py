@@ -21,6 +21,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _quote(text: str) -> str:
+    """A DOT quoted string: backslash and double quote escaped, in that order."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _rows(graph):
     """Lazy (src, dst, label) rows of the graph; label None for an undirected edge."""
     if isinstance(graph, SimplicialGraph):
@@ -57,9 +62,10 @@ def _dot_text(graph, root: int | None) -> str:
     lines = ["graph G {" if isinstance(graph, SimplicialGraph) else "digraph G {"]
     for i, label in enumerate(graph.labels):
         extra = ", shape=doublecircle" if i == root else ""
-        lines.append(f'  v{i} [label="{label}"{extra}];')
+        lines.append(f"  v{i} [label={_quote(label)}{extra}];")
+    quoted = {} if isinstance(graph, SimplicialGraph) else {gen: _quote(gen) for gen in graph.gen_labels}
     for src, dst, gen in _rows(graph):
-        edge = f"  v{src} -- v{dst}" if gen is None else f'  v{src} -> v{dst} [label="{gen}"]'
+        edge = f"  v{src} -- v{dst}" if gen is None else f"  v{src} -> v{dst} [label={quoted[gen]}]"
         lines.append(edge + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

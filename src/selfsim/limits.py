@@ -118,7 +118,9 @@ class EquivalenceWitness:
         return self.cycle[(i - len(self.tail)) % len(self.cycle)]
 
     def validate(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
-        """Re-check every Moore transition; periodicity makes a finite window sufficient."""
+        """Re-check every Moore transition, over a window periodicity makes finite; a path needs a cycle."""
+        if not self.cycle:
+            return False
         horizon = max(len(self.tail), len(p.preperiod), len(q.preperiod)) + 2 * lcm(
             len(self.cycle), len(p.period), len(q.period)
         )

@@ -194,14 +194,13 @@ def pointed_component(
     Returns the component as a simplicial graph plus the root's position in it.
     """
     graph = build_schreier(gens, n, vertex_cap)
-    alphabet = Alphabet(graph.alphabet_size)
     if hasattr(xi, "prefix"):
         root_word = xi.prefix(n)
     else:
         root_word = word(xi)
         if len(root_word) != n:
             raise ValueError(f"root word must have length {n}")
-    root = alphabet.index_of(alphabet.check_word(root_word))
+    root = Alphabet(graph.alphabet_size).index_of(root_word)
     roots = _component_roots(graph.images, graph.vertex_count)
     members = np.flatnonzero(roots == roots[root])
     position = np.zeros(graph.vertex_count, dtype=np.int64)

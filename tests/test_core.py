@@ -92,6 +92,18 @@ def test_alphabet_index_is_first_letter_major():
     assert a.word_at(2, 2) == (1, 0)
 
 
+def test_alphabet_index_rejects_out_of_range_input():
+    a = Alphabet(2)
+    for index, n in ((5, 2), (4, 2), (-1, 3), (1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            a.word_at(index, n)
+    assert a.word_at(3, 2) == (1, 1) and a.word_at(0, 0) == ()
+    for w in ((0, 2), (-1,), "02"):
+        with pytest.raises(ValueError):
+            a.index_of(w)
+    assert a.index_of("10") == 2
+
+
 def test_permutation_identity():
     p = Permutation((2, 0, 1))
     assert Permutation.identity(3).is_identity

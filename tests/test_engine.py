@@ -26,6 +26,7 @@ from selfsim import (
     catalog_list,
     compute_nucleus,
     invert,
+    inverse_state,
     is_recurrent,
     minimize,
     parse,
@@ -866,11 +867,28 @@ def test_cached_closure_and_pair_table_die_with_their_automaton():
     closed = invert(aut)
     assert invert(aut) is closed and invert(closed) is closed
     canonicalize(GroupWord((aut.state(0),), ((0, -1),)))
-    assert engine._pair_tables(closed) is engine._pair_tables(closed)
+    assert closed._pair_tables is closed._pair_tables
     refs = [weakref.ref(aut), weakref.ref(closed)]
     del aut, closed
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_cache_hits_do_not_hash_the_automaton(monkeypatch):
+    # the closure and the pair table are read off the automaton, never looked up by its hash
+    aut = to_automaton(catalog_get("basilica").document())[0]
+    gw = GroupWord(tuple(aut.states()), ((0, 1), (1, -1), (0, -1)))
+    first = canonicalize(gw)
+    closed = invert(aut)
+
+    def unhashable(self):
+        raise AssertionError("automaton hashed")
+
+    monkeypatch.setattr(MealyAutomaton, "__hash__", unhashable)
+    assert canonicalize(gw) == first
+    assert invert(aut) is closed and invert(closed) is closed
+    assert inverse_state(aut.state(0)) == closed.state(len(aut))
+    assert inverse_state(inverse_state(aut.state(1))) == closed.state(1)
 
 
 def _random_reduced(rng, gens, length):

@@ -8,6 +8,8 @@ import pytest
 from selfsim import (
     FORMATS,
     Alphabet,
+    MealyAutomaton,
+    Permutation,
     ResourceCapError,
     build_schreier,
     catalog_get,
@@ -90,6 +92,13 @@ def test_dot_marks_root():
     comp, root = pointed_component(gens, BoundaryPoint.parse("1^w"), 2)
     text = export_graph(comp, "dot", root=root)
     assert f'v{root} [label="11", shape=doublecircle];' in text
+
+
+def test_dot_labels_escape_backslash_and_quote():
+    aut = MealyAutomaton(Alphabet(2), ('a"b', "c\\d"), (Permutation((1, 0)),) * 2, ((0, 1), (1, 0)))
+    text = export_graph(build_schreier(aut.states(), 1), "dot")
+    assert '  v0 -> v1 [label="a\\"b"];' in text
+    assert '  v0 -> v1 [label="c\\\\d"];' in text
 
 
 def test_graphml_is_well_formed_and_complete():

@@ -9,6 +9,7 @@ import selfsim.engine
 from selfsim import (
     BoundaryPoint,
     CanonicalElement,
+    EquivalenceWitness,
     NucleusResult,
     asymptotic_equivalent,
     catalog_get,
@@ -266,6 +267,18 @@ def test_witness_fails_on_wrong_points():
     assert wit.validate(zero, one)
     assert not wit.validate(one, zero)
     assert not wit.validate(zero, BoundaryPoint.parse("0^w 1"))
+
+
+def test_witness_without_a_cycle_fails():
+    _, nuc = _nucleus("basilica")
+    zero = BoundaryPoint.parse("0^w")
+    one = BoundaryPoint.parse("1^w")
+    assert not asymptotic_equivalent(nuc, zero, one)[0]
+    # no transition is checked on an empty witness, yet no path goes up forever without a cycle
+    assert not EquivalenceWitness((), ()).validate(zero, one)
+    # a tail alone, even one that reads the points, is no left-infinite path either
+    e = CanonicalElement.identity(2)
+    assert not EquivalenceWitness((e, e), ()).validate(zero, zero)
 
 
 def test_point_alphabet_checked_against_nucleus():
