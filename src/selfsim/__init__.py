@@ -43,7 +43,6 @@ from .engine import (
 )
 from .schreier import (
     DEFAULT_VERTEX_CAP,
-    ENV_VERTEX_CAP,
     LabeledSchreierGraph,
     ResourceCapError,
     SimplicialGraph,
@@ -80,7 +79,6 @@ __all__ = [
     "CanonicalElement",
     "CatalogEntry",
     "DEFAULT_VERTEX_CAP",
-    "ENV_VERTEX_CAP",
     "EquivalenceWitness",
     "FORMATS",
     "GroupWord",

@@ -37,11 +37,14 @@ from .schreier import build_schreier, connected_components
 @dataclass(frozen=True)
 class CatalogEntry:
     key: str
-    title: str
     text: str
     note: str
     from_paper: bool
     expected: tuple[tuple, ...] = ()
+
+    @property
+    def title(self) -> str | None:
+        return self.document().title
 
     def document(self) -> RecursionDocument:
         return parse(self.text)
@@ -114,7 +117,6 @@ def _add(entry: CatalogEntry) -> None:
 _add(
     CatalogEntry(
         key="basilica",
-        title="Basilica group",
         text=(
             "# title: Basilica group\n"
             "# cite: grigorchuk2002basilica; nekrashevych2005self\n"
@@ -137,9 +139,8 @@ _add(
 _add(
     CatalogEntry(
         key="aleshin",
-        title="Aleshin automaton (free group of rank 3)",
         text=(
-            "# title: Aleshin automaton\n"
+            "# title: Aleshin automaton (free group of rank 3)\n"
             "# cite: aleshin1972finite; nekrashevych2010free\n"
             "alphabet 2\n"
             "a = (0 1)(b, c)\n"
@@ -164,7 +165,6 @@ _add(
 _add(
     CatalogEntry(
         key="aut882",
-        title="Automaton 882",
         text=(
             "# title: Automaton 882\n"
             "# cite: bondarenko2008classification\n"
@@ -192,7 +192,6 @@ _add(
 _add(
     CatalogEntry(
         key="aut878",
-        title="Automaton 878",
         text=(
             "# title: Automaton 878\n"
             "# cite: bondarenko2008classification; bartholdi2006thurston\n"
@@ -219,7 +218,6 @@ _add(
 _add(
     CatalogEntry(
         key="aut2853",
-        title="Automaton 2853",
         text=(
             "# title: Automaton 2853\n"
             "# cite: bondarenko2008classification\n"
@@ -242,9 +240,8 @@ _add(
 _add(
     CatalogEntry(
         key="z2",
-        title="Free abelian group Z^2",
         text=(
-            "# title: Z^2 odometer action\n"
+            "# title: Free abelian group Z^2\n"
             "# cite: nekrashevych2005self\n"
             "alphabet 2\n"
             "a = (0 1)(e, b)\n"
@@ -266,7 +263,6 @@ _add(
 _add(
     CatalogEntry(
         key="virtually-z3",
-        title="Virtually Z^3 automaton",
         text=(
             "# title: Virtually Z^3 automaton\n"
             "# cite: grigorchuk2014self\n"
@@ -288,7 +284,6 @@ _add(
 _add(
     CatalogEntry(
         key="half-basilica",
-        title="Half-Basilica automaton",
         text=(
             "# title: Half-Basilica automaton\n"
             "# cite: grigorchuk2014self\n"
@@ -311,7 +306,6 @@ _add(
 _add(
     CatalogEntry(
         key="lamplighter",
-        title="Lamplighter group",
         text=(
             "# title: Lamplighter group\n"
             "# cite: grigorchuk2001lamplighter\n"
@@ -333,7 +327,6 @@ _add(
 _add(
     CatalogEntry(
         key="long-range",
-        title="Long-range group",
         text=(
             "# title: Long-range group\n"
             "# cite: amir2013amenability; benjamini2003omega\n"
@@ -359,9 +352,8 @@ _add(
 _add(
     CatalogEntry(
         key="sierpinski",
-        title="Sierpinski gasket group (as printed)",
         text=(
-            "# title: Sierpinski gasket group, printed variant\n"
+            "# title: Sierpinski gasket group (as printed)\n"
             "# cite: grigorchuk2006asymptotic\n"
             "alphabet 3\n"
             "a = (0 2)(e, a, e)\n"
@@ -388,9 +380,8 @@ _add(
 _add(
     CatalogEntry(
         key="sierpinski-alt",
-        title="Sierpinski gasket group (distinct transpositions)",
         text=(
-            "# title: Sierpinski gasket group, distinct transpositions\n"
+            "# title: Sierpinski gasket group (distinct transpositions)\n"
             "# cite: grigorchuk2006asymptotic\n"
             "alphabet 3\n"
             "a = (0 2)(e, a, e)\n"
@@ -413,7 +404,6 @@ _add(
 _add(
     CatalogEntry(
         key="grigorchuk",
-        title="First Grigorchuk group",
         text=(
             "# title: First Grigorchuk group\n"
             "# cite: grigorchuk1980burnside\n"
@@ -442,9 +432,8 @@ _add(
 _add(
     CatalogEntry(
         key="hanoi",
-        title="Hanoi Towers group (3 pegs)",
         text=(
-            "# title: Hanoi Towers group on three pegs\n"
+            "# title: Hanoi Towers group (3 pegs)\n"
             "# cite: grigorchuk2007schreier\n"
             "alphabet 3\n"
             "a = (0 1)(e, e, a)\n"
@@ -471,7 +460,6 @@ _add(
 _add(
     CatalogEntry(
         key="odometer",
-        title="Binary odometer",
         text=(
             "# title: Binary odometer\n"
             "# cite: nekrashevych2005self\n"
@@ -493,7 +481,6 @@ _add(
 _add(
     CatalogEntry(
         key="identity",
-        title="Identity automaton",
         text=(
             "# title: Identity automaton\n"
             "alphabet 2\n"
@@ -516,7 +503,6 @@ for _d in (1, 2, 3):
         _add(
             CatalogEntry(
                 key=f"mother-{_d}-{_m}",
-                title=f"Mother group d={_d}, m={_m}",
                 text=serialize(_doc),
                 note=(
                     "Linear-activity mother group used in amenability arguments "

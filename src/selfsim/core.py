@@ -175,10 +175,10 @@ class MealyAutomaton:
     """Invertible Mealy automaton: per state an output permutation and a section row.
 
     sections[i][x] is the index of the state q_i|x, and tables holds both
-    as the arrays the kernel reads. When inverse_closed is true the
-    automaton contains a formal inverse for every state and inverse_index[i]
-    is its index; inverting twice resolves to the original state. An
-    inverse_index is taken only with inverse_closed, and checked there.
+    as the arrays the kernel reads. An automaton with an inverse_index is
+    inverse-closed: it contains a formal inverse for every state, and
+    inverse_index[i], checked here, is its index; inverting twice resolves to
+    the original state.
     Derived tables are cached properties, freed with the automaton.
     """
 
@@ -186,7 +186,6 @@ class MealyAutomaton:
     names: tuple[str, ...]
     perms: tuple[Permutation, ...]
     sections: tuple[tuple[int, ...], ...]
-    inverse_closed: bool = False
     inverse_index: tuple[int, ...] | None = None
     # (images, sections) as read-only (n, k) int64 arrays, read from perms and sections once
     tables: Arrays = field(init=False, repr=False, compare=False)
@@ -213,11 +212,9 @@ class MealyAutomaton:
             raise ValueError(f"section index {sections[outside][0]} out of range")
         images.flags.writeable = sections.flags.writeable = False
         object.__setattr__(self, "tables", tables)
-        if self.inverse_index is not None and not self.inverse_closed:
-            raise ValueError("inverse_index is taken only with inverse_closed")
-        if self.inverse_closed:
-            if self.inverse_index is None or len(self.inverse_index) != n:
-                raise ValueError("inverse_closed automaton needs a full inverse_index")
+        if self.inverse_index is not None:
+            if len(self.inverse_index) != n:
+                raise ValueError("inverse_index needs one entry per state")
             inv = np.array(self.inverse_index, dtype=np.int64)
             if not ((0 <= inv) & (inv < n)).all():
                 raise ValueError("inverse_index entries must be state indices")
@@ -225,6 +222,10 @@ class MealyAutomaton:
             inv_images, inv_sections = _inverse_rows(tables)
             if not ((images[inv] == inv_images).all() and (sections[inv] == inv[inv_sections]).all()):
                 raise ValueError("inverse_index must name a state acting as each state's inverse")
+
+    @property
+    def inverse_closed(self) -> bool:
+        return self.inverse_index is not None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -251,7 +252,7 @@ class MealyAutomaton:
         perms = self.perms + tuple(Permutation(img) for img in _tuples(inv_images))
         sections = self.sections + _tuples(inv_sections + m)
         inverse_index = tuple(range(m, 2 * m)) + tuple(range(m))
-        return MealyAutomaton(self.alphabet, names, perms, sections, True, inverse_index)
+        return MealyAutomaton(self.alphabet, names, perms, sections, inverse_index)
 
     @cached_property
     def _pair_tables(self) -> Arrays:
@@ -519,8 +520,7 @@ def minimize(aut: MealyAutomaton) -> tuple[MealyAutomaton, tuple[int, ...]]:
     names = tuple(aut.names[r] for r in reps)
     perms = tuple(aut.perms[r] for r in reps)
     inverse_index = None
-    if aut.inverse_closed:
-        assert aut.inverse_index is not None
+    if aut.inverse_index is not None:
         inverse_index = tuple(color[aut.inverse_index[r]] for r in reps)
-    quotient = MealyAutomaton(aut.alphabet, names, perms, _tuples(sections), aut.inverse_closed, inverse_index)
+    quotient = MealyAutomaton(aut.alphabet, names, perms, _tuples(sections), inverse_index)
     return quotient, tuple(color)

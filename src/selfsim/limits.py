@@ -91,12 +91,9 @@ class BoundaryPoint:
         """Level-n vertex under the point; prefixes are nested as n grows."""
         return tuple(self.letter(i) for i in range(1, n + 1))
 
-    def max_letter(self) -> int:
-        return max(self.preperiod + self.period)
-
 
 def _check_point(p: BoundaryPoint, k: int) -> None:
-    if p.max_letter() >= k:
+    if not all(0 <= x < k for x in p.preperiod + p.period):
         raise ValueError(f"boundary point {p} uses letters outside a {k}-letter alphabet")
 
 
@@ -112,15 +109,17 @@ class EquivalenceWitness:
     tail: tuple[CanonicalElement, ...]
     cycle: tuple[CanonicalElement, ...]
 
+    def __post_init__(self):
+        if not self.cycle:
+            raise ValueError("a witness needs a nonempty cycle")
+
     def state(self, i: int) -> CanonicalElement:
         if i < len(self.tail):
             return self.tail[i]
         return self.cycle[(i - len(self.tail)) % len(self.cycle)]
 
     def validate(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
-        """Re-check every Moore transition, over a window periodicity makes finite; a path needs a cycle."""
-        if not self.cycle:
-            return False
+        """Re-check every Moore transition, over a window periodicity makes finite."""
         horizon = max(len(self.tail), len(p.preperiod), len(q.preperiod)) + 2 * lcm(
             len(self.cycle), len(p.period), len(q.period)
         )

@@ -11,7 +11,6 @@ level is linear in |A|^n per state.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,6 @@ import numpy as np
 from .core import Alphabet, Arrays, StateRef, _automaton_of, _distinct, _restrict, word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
-ENV_VERTEX_CAP = "SELFSIM_VERTEX_CAP"
 
 
 class ResourceCapError(RuntimeError):
@@ -30,16 +28,10 @@ class ResourceCapError(RuntimeError):
 
 
 def _check_cap(count: int, vertex_cap: int | None) -> None:
-    cap = vertex_cap
-    if cap is None:
-        env = os.environ.get(ENV_VERTEX_CAP)
-        try:
-            cap = int(env) if env else DEFAULT_VERTEX_CAP
-        except ValueError:
-            raise ValueError(f"{ENV_VERTEX_CAP} must be an integer, got {env!r}") from None
+    cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
     if count > cap:
         raise ResourceCapError(
-            f"{count} vertices exceed the cap of {cap}; raise it explicitly or via {ENV_VERTEX_CAP}"
+            f"{count} vertices exceed the cap of {cap}; raise it with vertex_cap or --vertex-cap"
         )
 
 

@@ -203,7 +203,7 @@ def _random_entry(rng):
         for name in gens
     ]
     doc = RecursionDocument(k, tuple(states), tuple(gens))
-    return CatalogEntry("generated", "generated", serialize(doc), "generated", False)
+    return CatalogEntry("generated", serialize(doc), "generated", False)
 
 
 def test_free_and_involution_checks_match_word_enumeration_on_generated_automata():

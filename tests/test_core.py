@@ -153,15 +153,12 @@ def test_automaton_validates_shapes():
 
 def test_automaton_validates_inverse_index():
     _, aut, _ = _basilica()
-    fields = (aut.alphabet, aut.names, aut.perms, aut.sections, True)
+    fields = (aut.alphabet, aut.names, aut.perms, aut.sections)
     # each state its own inverse: a a^-1 would not be the identity
     with pytest.raises(ValueError, match="inverse"):
         MealyAutomaton(*fields, (0, 1, 2))
     with pytest.raises(ValueError, match="state indices"):
         MealyAutomaton(*fields, (7, 0, 1))
-    # an index is checked only on an inverse-closed automaton, so it is not taken on another
-    with pytest.raises(ValueError, match="only with inverse_closed"):
-        MealyAutomaton(*fields[:-1], False, (0, 1, 2))
     # the closure and its quotient name true inverses, so both still build
     closed = invert(aut)
     small, assignment = minimize(closed)

@@ -274,11 +274,12 @@ def test_witness_without_a_cycle_fails():
     zero = BoundaryPoint.parse("0^w")
     one = BoundaryPoint.parse("1^w")
     assert not asymptotic_equivalent(nuc, zero, one)[0]
-    # no transition is checked on an empty witness, yet no path goes up forever without a cycle
-    assert not EquivalenceWitness((), ()).validate(zero, one)
-    # a tail alone, even one that reads the points, is no left-infinite path either
+    # no path goes up forever without a cycle, so no witness is built without one,
+    # not even from a tail that reads the points
     e = CanonicalElement.identity(2)
-    assert not EquivalenceWitness((e, e), ()).validate(zero, zero)
+    for tail in ((), (e, e)):
+        with pytest.raises(ValueError, match="nonempty cycle"):
+            EquivalenceWitness(tail, ())
 
 
 def test_point_alphabet_checked_against_nucleus():
@@ -288,6 +289,16 @@ def test_point_alphabet_checked_against_nucleus():
         asymptotic_equivalent(nuc, ternary, ternary)
     with pytest.raises(ValueError):
         equivalence_class(nuc, ternary)
+
+
+def test_point_with_negative_letters_rejected():
+    # a negative letter must not index the nucleus tables from their end, as letter k - 1
+    _, nuc = _nucleus("basilica")
+    negative = BoundaryPoint((), (-1,))
+    with pytest.raises(ValueError, match="outside a 2-letter alphabet"):
+        asymptotic_equivalent(nuc, negative, BoundaryPoint.parse("1^w"))
+    with pytest.raises(ValueError, match="outside a 2-letter alphabet"):
+        equivalence_class(nuc, negative)
 
 
 def test_self_similarity_graph_structure():

@@ -124,3 +124,24 @@ def test_every_private_function_is_referenced():
                 defined.append((path.name, node))
     unread = [f"{name}: {node.name}" for name, node in defined if used[node.name] == reads(node)[node.name]]
     assert unread == []
+
+
+def test_readme_library_tour_runs_and_holds_its_stated_results():
+    """The README's library tour runs as printed, and each line whose comment ends
+    in a literal, as "# word problem: True" does, evaluates to that literal."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## Library tour\n+```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)[1]
+    lines, namespace, stated = tour.splitlines(), {}, []
+    for node in ast.parse(tour).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.lineno - 1].partition("#")[2]
+        try:
+            claim = ast.literal_eval(comment.rsplit(": ", 1)[-1].strip())
+        except (ValueError, SyntaxError):
+            continue
+        stated.append((value, claim))
+    assert [claim for _, claim in stated] == [True, (7, 2), 1, (0, 0, 0, 0, 0, 1, 0, 1)]
+    assert all(value == claim for value, claim in stated)

@@ -97,16 +97,6 @@ def test_vertex_cap_enforced():
     assert build_schreier(gens, 10, vertex_cap=1024).vertex_count == 1024
 
 
-def test_vertex_cap_env_variable(monkeypatch):
-    gens = _gens("basilica")
-    monkeypatch.setenv("SELFSIM_VERTEX_CAP", "100")
-    with pytest.raises(ResourceCapError):
-        build_schreier(gens, 7)
-    monkeypatch.setenv("SELFSIM_VERTEX_CAP", "not-a-number")
-    with pytest.raises(ValueError):
-        build_schreier(gens, 7)
-
-
 def test_simplicial_drops_loops_and_multiplicity():
     gens = _gens("basilica")
     g = build_schreier(gens, 3)
