@@ -319,10 +319,18 @@ def _tuples(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows.T.tolist()))
 
 
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in a 1-D array starts, as a mask: np.diff(prepend=) != 0 without its wrapper."""
+    start = np.empty(len(keys), dtype=bool)
+    start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    return start
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D array, by a sort and a neighbour compare: numpy 2.3 on hashes there, many times slower."""
     keys = np.sort(keys)
-    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    return keys[_starts(keys)]
 
 
 def _inverse_rows(tables: Arrays) -> Arrays:
@@ -399,7 +407,7 @@ def _quotient(tables: Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:
     images, sections = tables
     color = refine_partition(images, sections)[0]
     # classes are numbered by first occurrence: a class's first member is where the running maximum grows
-    reps = np.flatnonzero(np.diff(np.maximum.accumulate(color), prepend=-1))
+    reps = np.flatnonzero(_starts(np.maximum.accumulate(color)))
     return color, reps, (images[reps], color[sections[reps]])
 
 
@@ -448,9 +456,9 @@ def _recurrent(successors: np.ndarray) -> list[int]:
     drop = np.flatnonzero(indegree == 0)
     while len(drop):
         heads = successors[drop].ravel()
-        hit, times = np.unique(heads[heads >= 0], return_counts=True)
-        indegree[hit] -= times
-        drop = hit[indegree[hit] == 0]
+        heads = heads[heads >= 0]
+        np.subtract.at(indegree, heads, 1)
+        drop = _distinct(heads[indegree[heads] == 0])
     return np.flatnonzero(indegree).tolist()
 
 
@@ -505,7 +513,7 @@ def refine_partition(images: np.ndarray, sections: np.ndarray) -> tuple[np.ndarr
             break
         columns = (color[col] for col in sections.T)
     order = np.argsort(color, kind="stable")
-    first = order[np.diff(color[order], prepend=-1) != 0]
+    first = order[_starts(color[order])]
     return (np.bincount(first, minlength=n).cumsum() - 1)[first][color], count
 
 

@@ -303,6 +303,11 @@ class NotContractingError(RuntimeError):
 # a pair (p, q) of pool states is keyed p << 32 | q; a sorted index ends in a sentinel above every key
 _LOW = (1 << 32) - 1
 _SENTINEL = np.iinfo(np.int64).max
+# explore meets a frontier of n pairs over k letters in one index pass while k n is at most this, and a
+# letter at a time above: most frontiers hold a few dozen pairs, whose passes cost numpy calls, not work,
+# while one pass over every frontier keeps a large one's k key rows and lookups alive at once, and took
+# the tracemalloc peak of compute_nucleus(long-range, max_elements=4000) from 214 to 281 MB
+_ONE_PASS = 1 << 15
 
 
 def _find(keys: np.ndarray, at: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -358,30 +363,44 @@ class _Pool:
     def explore(self, roots: np.ndarray) -> int:
         """Meet the pairs reachable from the root keys; those not met before are numbered from the result on.
 
-        Each frontier's new pairs are numbered in key order, in an index of the
-        batch's own that joins the pool's at the end.
+        A frontier of n pairs meets its successors in one index pass for all
+        k letters while k n is at most _ONE_PASS, and a letter at a time
+        above. Either way its new pairs are numbered by the first letter that
+        meets them, then in key order, in an index of the batch's own that
+        joins the pool's at the end, and the next frontier lists them in that
+        order, so both modes meet the same pairs under the same numbers.
         """
         start, k = len(self.cls), self.images.shape[1]
         keys, at, rows = self.keys[-1:], self.at[-1:], []
 
         def meet(met: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # the number of each key met, and the keys not met before, sorted
+            # met holds one row of keys per letter: the number of each key, and the keys not met before, in number order
             nonlocal keys, at
             number = _find(self.keys, self.at, met)
             miss = number < 0
             number[miss] = _find(keys, at, met[miss])
             miss = number < 0
             new, base = _distinct(met[miss]), start + len(keys) - 1
-            number[miss] = np.searchsorted(new, met[miss]) + base
-            keys, at = _merge(keys, at, new, np.arange(base, base + len(new)))
-            return number, new
+            slot, order = np.searchsorted(new, met[miss]), slice(None)
+            if len(met) > 1:
+                # order the new keys by the first letter that meets each, then by key
+                first = np.full(len(new), len(met))
+                np.minimum.at(first, slot, np.nonzero(miss)[0])
+                order = np.argsort(first, kind="stable")
+            numbers = np.empty(len(new), dtype=np.int64)
+            numbers[order] = np.arange(base, base + len(new))
+            number[miss] = numbers[slot]
+            keys, at = _merge(keys, at, new, numbers)
+            return number, new[order]
 
-        frontier = meet(roots)[1]
+        frontier = meet(roots[None])[1]
         while len(frontier):
-            # a letter at a time, which keeps the temporaries to the frontier's size
+            # all letters in one pass while small; above, a letter at a time keeps the temporaries to the frontier's size
+            step = k if k * len(frontier) <= _ONE_PASS else 1
             q = frontier & _LOW
-            met = [meet(self.sections[frontier >> 32, self.images[q, x]] << 32 | self.sections[q, x]) for x in range(k)]
-            rows.append(np.stack([number for number, _ in met], axis=1))
+            met = [meet(self.sections[frontier >> 32, self.images[q, x:x + step].T] << 32 | self.sections[q, x:x + step].T)
+                   for x in range(0, k, step)]
+            rows.append(np.concatenate([number for number, _ in met]).T)
             frontier = np.concatenate([new for _, new in met])
         self.succ = np.concatenate((self.succ, *rows))
         rows.clear()

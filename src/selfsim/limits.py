@@ -27,7 +27,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import _automaton_of, word, word_str
+from .core import _automaton_of, _distinct, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -165,7 +165,7 @@ def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = 
         ends = ends[ends]
 
     # the anchors: phase-0 nodes, the first n, that lie on a cycle
-    for anchor in np.unique(ends[ends < n]).tolist():
+    for anchor in _distinct(ends[ends < n]).tolist():
         # the cycle read downward from the anchor, then upward
         cycle = [anchor]
         while (below := int(arrows[cycle[-1]])) != anchor:

@@ -21,12 +21,12 @@ def markov_operator(graph: LabeledSchreierGraph) -> np.ndarray:
         raise ResourceCapError(
             f"dense spectrum limited to {DENSE_LIMIT} vertices, got {total}"
         )
-    # arrow counts: an integer matrix plus its transpose is exactly symmetric
-    arrows = np.zeros((total, total))
+    # arrow counts at (src, img) and at (img, src) of one array: exact small integers, so exactly symmetric
+    M = np.zeros((total, total))
     src = np.arange(total)
     for img in graph.images:
-        np.add.at(arrows, (src, img), 1.0)
-    M = arrows + arrows.T
+        np.add.at(M, (src, img), 1.0)
+        np.add.at(M, (img, src), 1.0)
     M /= 2 * len(graph.images)
     return M
 

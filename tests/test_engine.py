@@ -685,6 +685,51 @@ def test_pool_invariants_on_generated_automata(monkeypatch):
     assert placed
 
 
+def _recorded_pools(monkeypatch):
+    """A list that every pool built from now on joins."""
+    pools = []
+    init = _Pool.__init__
+
+    def recorded(self, elements):
+        init(self, elements)
+        pools.append(self)
+
+    monkeypatch.setattr(_Pool, "__init__", recorded)
+    return pools
+
+
+def test_one_pass_and_per_letter_meets_number_alike(monkeypatch):
+    # a limit of 0 meets every frontier a letter at a time, one above every frontier meets each in one pass
+    pools = _recorded_pools(monkeypatch)
+    rng = random.Random(37)
+    makers = (_random_document, _random_bounded_document, _document_with_strays)
+    automata = [to_automaton(entry.document())[1] for entry in catalog_list()]
+    automata += [to_automaton(makers[t % 3](rng))[1] for t in range(30)]
+    for gens in automata:
+        runs = []
+        for limit in (0, 1 << 62):
+            monkeypatch.setattr(engine, "_ONE_PASS", limit)
+            pools.clear()
+            answers = compute_nucleus(gens, 300), is_recurrent(gens, 4)
+            tables = [
+                (table.dtype, table.shape, table.tobytes())
+                for pool in pools
+                for table in (pool.keys, pool.at, pool.succ, pool.cls, pool.images, pool.sections)
+            ]
+            runs.append((answers, tables))
+        assert runs[0] == runs[1], gens[0].automaton.names
+
+
+def test_closure_schedule_is_pinned_by_pairs_met(monkeypatch):
+    # members join in the order of their pair numbers, so these counts fix the numbering: new pairs
+    # numbered in plain key order, in one pass for all letters, met 388,273 pairs on aut882
+    pools = _recorded_pools(monkeypatch)
+    for key, met in (("aut882", 240_463), ("long-range", 247_996)):
+        pools.clear()
+        assert compute_nucleus(_load(key)[2], max_elements=1000).reason == "elements"
+        assert len(pools[0].cls) == met
+
+
 def test_nucleus_bounds_must_not_be_negative():
     _, _, gens = _load("basilica")
     for bounds in ({"max_elements": -1}, {"max_depth": -1}):

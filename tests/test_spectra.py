@@ -7,12 +7,14 @@ from selfsim import (
     ResourceCapError,
     build_schreier,
     catalog_get,
+    catalog_list,
     connected_components,
     eigenvalue_multiplicity,
     markov_operator,
     spectrum,
     to_automaton,
 )
+from selfsim.spectra import DENSE_LIMIT
 
 
 def _graph(key, n):
@@ -28,6 +30,20 @@ def test_markov_operator_is_symmetric_doubly_stochastic():
         assert np.allclose(M.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(M.sum(axis=1), 1.0, atol=1e-12)
         assert (M >= 0).all()
+
+
+def test_markov_operator_is_arrows_plus_transpose_bytewise():
+    # every level of at most a quarter of DENSE_LIMIT vertices on each entry, and basilica at DENSE_LIMIT
+    graphs = [("basilica", 12)]
+    for entry in catalog_list():
+        k = entry.document().alphabet_size
+        graphs += [(entry.key, n) for n in range(11) if k**n <= DENSE_LIMIT // 4]
+    for key, n in graphs:
+        g = _graph(key, n)
+        arrows = np.zeros((g.vertex_count, g.vertex_count))
+        for img in g.images:
+            np.add.at(arrows, (np.arange(g.vertex_count), img), 1.0)
+        assert markov_operator(g).tobytes() == ((arrows + arrows.T) / (2 * len(g.images))).tobytes(), (key, n)
 
 
 def test_markov_operator_entries_count_arrows():
