@@ -29,18 +29,20 @@ frontier at a time: one gather of the positions' output rows, their prefix
 compositions by a doubling scan of ceil(log2 L) steps, one flat gather of
 the sections in the scan's layout (the first position reads the input
 letter, each other the letter the positions before it wrote), and new
-tuples numbered by first occurrence of their L-state bytes. The cost grows
-with L, so the engine passes a word as blocks of factors, states of the
-_pair_tables an automaton caches. A quotient is Moore refinement in numpy
-rounds, one int64 key ranked by one argsort per round until the partition
-is discrete or stable, classes numbered by first occurrence, class tables
-fancy-indexed. The recurrent peel is numpy rounds too.
+tuples numbered by first occurrence: through a dense index of their
+mixed-radix keys when those are few, by a dict on their bytes otherwise.
+The cost grows with L, so the engine passes a word as blocks of factors,
+states of the _pair_tables an automaton caches. A quotient is Moore
+refinement in numpy rounds, one int64 key ranked by one argsort per round
+until the partition is discrete or stable, classes numbered by first
+occurrence, class tables fancy-indexed. The recurrent peel is numpy rounds
+too.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -236,8 +238,6 @@ class MealyAutomaton:
                 key = self.names.index(key)
             except ValueError:
                 raise KeyError(f"no state named {key!r}") from None
-        if not 0 <= key < len(self.names):
-            raise IndexError(f"state index {key} out of range")
         return StateRef(self, key)
 
     def states(self) -> list["StateRef"]:
@@ -272,6 +272,11 @@ class StateRef:
 
     automaton: MealyAutomaton
     index: int
+
+    def __post_init__(self) -> None:
+        # a negative index would alias a state counted from the end
+        if not 0 <= self.index < len(self.automaton):
+            raise IndexError(f"state index {self.index} out of range 0..{len(self.automaton) - 1}")
 
     @property
     def name(self) -> str:
@@ -350,6 +355,17 @@ def _with_identity(tables: Arrays) -> Arrays:
     return np.vstack((images, np.arange(k))), np.vstack((sections, np.full(k, e)))
 
 
+# A product numbers its tuples through a dense index of all r^n keys (_indexed) when
+# _INDEX_FLOOR < r^n <= _INDEX_CAP, and through a dict on their bytes (_keyed) otherwise.
+# Below the floor the dict's fewer numpy calls per frontier round win: with no floor, 3,000
+# products of nucleus elements of at most 7 states ran 5-14% slower, and 1,000 products of
+# 13-21-state virtually-z3 elements about 20% slower.
+_INDEX_FLOOR = 1 << 11
+# Above the cap the index would pass 4 MB of int32. Wide tuples keep the dict: a 100-letter
+# word has 50 positions.
+_INDEX_CAP = 1 << 20
+
+
 def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
     """Tables of the tuples of states of one table reachable from a nonempty root.
 
@@ -367,22 +383,32 @@ def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
     it, at its least letter into it. Engine products and canonical_state rely
     on this; section, state_element, inverse and pool members are built
     otherwise and renumbered by _restrict.
+
+    The numbers come from a dense index on the tuples' positions in mixed
+    radix r, r the states a position can hold, when r^n, n the positions,
+    lies between _INDEX_FLOOR and _INDEX_CAP; r is every state of the table,
+    or when that is too many, the states the root reaches, which hold every
+    position of every tuple. Other products number tuples by a dict on their
+    bytes. Both number alike, so the tables are the same either way.
     """
     images, sections = tables
     k = images.shape[1]
-    # tuples are keyed last position first, the order in which the action reads them, by the
-    # bytes of their states in the narrowest dtype that holds them
-    frontier = np.array(root[::-1])[None]
-    n = frontier.shape[1]
-    narrow = np.min_scalar_type(len(images) - 1)
-    key = np.dtype((np.void, narrow.itemsize * n))
-    number = {frontier.astype(narrow).tobytes(): 0}
+    n = len(root)
+    # one walk renumbers the states the root reaches 0..r-1; it can put r^n in the band only when
+    # 2^n is under the cap, as r = 1 leaves r^n below the floor
+    if len(images) ** n > _INDEX_CAP >= 2**n:
+        number, (images, sections) = _restrict(tables, root)
+        root = number[root]
+    # position major: frontier[j] holds position j of every tuple, position 0 the last component
+    frontier = np.array(root[::-1], dtype=np.int64).reshape(n, 1)
+    numbering = _indexed if _INDEX_FLOOR < len(images) ** n <= _INDEX_CAP else _keyed
+    fresh = numbering(len(images), frontier)
     rounds = []
-    while len(frontier):
-        # position major, so a shift is a slice; perms[j, t] starts at (j * len(frontier) + t) * k
+    while frontier.shape[1]:
+        # perms[j, t] starts at (j * m + t) * k for m tuples, so a shift is a slice
         starts = np.arange(0, frontier.size * k, k).reshape(n, -1, 1)
         # doubling scan: afterwards perms[j, t] is the output row of positions 0..j in turn
-        perms = np.take(images, frontier.T, axis=0)
+        perms = np.take(images, frontier, axis=0)
         shift = 1
         while shift < n:
             perms[shift:] = perms[shift:].reshape(-1)[perms[:-shift] + starts[: n - shift]]
@@ -392,14 +418,70 @@ def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
         at = np.empty_like(perms)
         at[0] = np.arange(k)
         at[1:] = perms[:-1]
-        at += frontier.T[..., None] * k
-        met = sections.ravel()[at].transpose(1, 2, 0).astype(narrow, order="C").view(key).ravel().tolist()
-        # tuples not met before take the next numbers in order of first occurrence
-        fresh = dict.fromkeys(itertools.filterfalse(number.__contains__, met))
-        number.update(zip(fresh, itertools.count(len(number))))
-        rounds.append((perms[-1], np.fromiter(map(number.__getitem__, met), np.int64, len(met)).reshape(-1, k)))
-        frontier = np.frombuffer(b"".join(fresh), narrow).reshape(-1, n).astype(np.int64)
+        at += frontier[..., None] * k
+        met, frontier = fresh(sections.ravel()[at].reshape(n, -1))
+        rounds.append((perms[-1], met.reshape(-1, k)))
     return tuple(map(np.concatenate, zip(*rounds)))
+
+
+def _keyed(states: int, root: np.ndarray) -> Callable[[np.ndarray], Arrays]:
+    """Numbering of tuples from root, number 0, by a dict on their bytes, in the narrowest dtype that holds a state.
+
+    Tuples come as an (n, m) array, position major. The returned function
+    takes the tuples a frontier meets and returns their numbers and the
+    tuples not met before, which take the next numbers in order of first
+    occurrence.
+    """
+    n = len(root)
+    narrow = np.min_scalar_type(states - 1)
+    key = np.dtype((np.void, narrow.itemsize * n))
+    number = {root.astype(narrow).tobytes(): 0}
+
+    def fresh(met: np.ndarray) -> Arrays:
+        keys = met.T.astype(narrow, order="C").view(key).ravel().tolist()
+        new = dict.fromkeys(itertools.filterfalse(number.__contains__, keys))
+        number.update(zip(new, itertools.count(len(number))))
+        found = np.fromiter(map(number.__getitem__, keys), np.int64, len(keys))
+        return found, np.frombuffer(b"".join(new), narrow).reshape(-1, n).T.astype(np.int64)
+
+    return fresh
+
+
+def _indexed(states: int, root: np.ndarray) -> Callable[[np.ndarray], Arrays]:
+    """Numbering of tuples from root by a dense int32 index of all states^n of them, keyed in mixed radix; as _keyed.
+
+    Entry 0 is a tuple not met yet and entry i > 0 the tuple numbered i - 1,
+    so the index starts as np.zeros, with no fill pass.
+    """
+
+    def keys(met: np.ndarray) -> np.ndarray:
+        # Horner over the positions, position 0 most significant
+        key = met[0]
+        for row in met[1:]:
+            key = key * states + row
+        return key
+
+    index = np.zeros(states ** len(root), np.int32)
+    index[keys(root)] = 1
+    count = 1
+
+    def fresh(met: np.ndarray) -> Arrays:
+        nonlocal count
+        key = keys(met)
+        miss = (index.take(key) == 0).nonzero()[0]
+        missed = key[miss]
+        # each missed key goes to its first occurrence: claims lie below 0 and grow with the
+        # occurrence, and ufunc.at applies all of them where a plain assignment keeps an unspecified one
+        claim = (miss - len(key)).astype(np.int32)
+        np.minimum.at(index, missed, claim)
+        won = (index.take(missed) == claim).nonzero()[0]
+        count += len(won)
+        index[missed[won]] = np.arange(count - len(won) + 1, count + 1, dtype=np.int32)
+        found = index.take(key).astype(np.int64)
+        found -= 1
+        return found, met.take(miss[won], axis=1)
+
+    return fresh
 
 
 def _quotient(tables: Arrays) -> tuple[np.ndarray, np.ndarray, Arrays]:

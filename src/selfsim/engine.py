@@ -133,7 +133,10 @@ class CanonicalElement:
         return _bfs_root(tables, _walk(tables, 0, Alphabet(self.k).check_word(letters))[1])
 
     def state_element(self, i: int) -> "CanonicalElement":
-        """The element represented by internal state i."""
+        """The element represented by internal state i, for 0 <= i < size."""
+        # a negative i would alias a state counted from the end
+        if not 0 <= i < self.size:
+            raise IndexError(f"state index {i} out of range 0..{self.size - 1}")
         return _bfs_root((self.perms, self.sections), i)
 
     def __mul__(self, other: "CanonicalElement") -> "CanonicalElement":

@@ -11,6 +11,7 @@ from selfsim import (
     GroupWord,
     MealyAutomaton,
     Permutation,
+    StateRef,
     act_word,
     canonicalize,
     catalog_get,
@@ -177,6 +178,17 @@ def test_state_lookup_by_name_and_index():
     assert len(aut.states()) == len(aut)
     with pytest.raises(KeyError):
         aut.state("missing")
+
+
+def test_state_index_outside_the_automaton_is_refused():
+    # a negative index once aliased a state counted from the end: StateRef(basilica, -1) was id
+    _, aut, _ = _basilica()
+    for index in (-1, -len(aut), len(aut), 99):
+        with pytest.raises(IndexError, match=rf"state index {index} out of range 0\.\.2"):
+            StateRef(aut, index)
+        with pytest.raises(IndexError, match="out of range"):
+            aut.state(index)
+    assert [StateRef(aut, i) for i in range(len(aut))] == aut.states()
 
 
 def test_act_letter_matches_definitions():

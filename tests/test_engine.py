@@ -34,7 +34,7 @@ from selfsim import (
     self_similarity_graph,
     to_automaton,
 )
-from selfsim import engine
+from selfsim import core, engine
 from selfsim.core import _inverse_rows, _product_tables, _quotient, _recurrent, _walk, refine_partition
 from selfsim.engine import _bfs_root, _Pool, _product
 
@@ -200,6 +200,16 @@ def test_canonical_element_is_minimal():
     a = canonical_state(aut2.state("a"))
     assert a.size == 2
     assert (a * a.inverse()).size == 1
+
+
+def test_state_element_outside_the_element_is_refused():
+    # a negative index once gave the element of a state counted from the end, a large one numpy's error
+    _, _, gens = _load("basilica")
+    el = canonicalize(_gw(gens, (0, 1), (1, 1)))
+    for i in (-1, -el.size, el.size, 99):
+        with pytest.raises(IndexError, match=rf"state index {i} out of range 0\.\.{el.size - 1}"):
+            el.state_element(i)
+    assert el.state_element(0) == el
 
 
 def test_hash_consistency():
@@ -718,6 +728,55 @@ def test_one_pass_and_per_letter_meets_number_alike(monkeypatch):
             ]
             runs.append((answers, tables))
         assert runs[0] == runs[1], gens[0].automaton.names
+
+
+def test_dict_and_index_number_products_alike(monkeypatch):
+    # a floor at the cap numbers every product by the dict, the default band some by the index, a
+    # floor of 0 every product whose key space fits under the cap; all three give the same bytes
+    made, spaces = [], []
+    indexed, floor, cap = core._indexed, core._INDEX_FLOOR, core._INDEX_CAP
+
+    def recorded(tables, root):
+        out = _product_tables(tables, root)
+        made.append([(table.dtype, table.shape, table.tobytes()) for table in out])
+        return out
+
+    def counted(states, root):
+        spaces.append(states ** len(root))
+        return indexed(states, root)
+
+    monkeypatch.setattr(engine, "_product_tables", recorded)
+    monkeypatch.setattr(core, "_indexed", counted)
+    runs = {}
+    for forced in (cap, floor, 0):
+        monkeypatch.setattr(core, "_INDEX_FLOOR", forced)
+        made.clear()
+        spaces.clear()
+        rng, els = random.Random(11), []
+        # the planted-duplicate tables of the table kernel test
+        for _ in range(30):
+            images, sections = invert(to_automaton(_random_document(rng))[0]).tables
+            m, k = images.shape
+            shift = m * np.array([rng.randrange(2) for _ in range(2 * m * k)]).reshape(-1, k)
+            planted = (np.tile(images, (2, 1)), np.tile(sections, (2, 1)) + shift)
+            for length in range(1, 7):
+                recorded(planted, [rng.randrange(2 * m) for _ in range(length)])
+        # catalog words, their products and powers
+        for entry in catalog_list():
+            _, _, gens = _load(entry.key)
+            els += [canonicalize(_gw(gens, *_random_reduced(rng, len(gens), length))) for length in (3, 5, 6)]
+            small = [el for el in els[-3:] if el.size <= 64]
+            els += [a * b for a, b in zip(small, small[1:])] + [el**p for el in small[:2] for p in (3, -2)]
+        # a positive aleshin word: r = 9 pair states from the walk, 9^4 keys
+        _, _, gens = _load("aleshin")
+        els.append(canonicalize(_gw(gens, *[(rng.randrange(3), 1) for _ in range(8)])))
+        runs[forced] = list(made), list(spaces), els
+    by_dict, band, everywhere = runs.values()
+    assert not by_dict[1]
+    assert 9**4 in band[1] and all(floor < space <= cap for space in band[1])
+    assert len(everywhere[1]) > 2 * len(band[1])
+    assert by_dict[0] == band[0] == everywhere[0]
+    assert by_dict[2] == band[2] == everywhere[2]
 
 
 def test_closure_schedule_is_pinned_by_pairs_met(monkeypatch):
