@@ -15,15 +15,16 @@ trips. Recurrent sections of a finite-state element are the states
 reachable through a cycle of its automaton. The closure keeps every
 element it meets as one state of a pool, a single numpy table of pairwise
 distinct elements that starts as the automaton's own inverse-closed table,
-root by root. So an element is an int and a product of two is a node of the
-pool's pair graph, kept in arrays: sorted pair keys, successor pairs and
-pool states. The closure, its depth certificate and the word ball around the
-identity, whose spheres the recurrence test searches, explore it a frontier
-of pairs at a time and place new pairs with one quotient of the pool per
-batch. The closure's first batch pairs the seeds, the recurrent sections
-of the generators, up to twice the end the doubling rule would take; after
-it the batches double, so there are logarithmically many quotients. No
-product is canonicalized on its own.
+stacked root by root. So an element is an int and a product of two is a
+node of the pool's pair graph, kept in arrays: one sorted index of pair keys,
+in which each met key is searched once, successor pairs and pool states.
+The closure, its depth certificate and the word ball around the identity,
+whose spheres the recurrence test searches, explore it a frontier of pairs
+at a time and place new pairs with one quotient of the pool per batch.
+The closure's first batch pairs the seeds, the recurrent sections of the
+generators, up to twice the end the doubling rule would take; after it the
+batches double, so there are logarithmically many quotients. No product is
+canonicalized on its own.
 
 The table operations behind canonical elements run on numpy tables in
 selfsim.core: product, quotient, inverse rows and the breadth-first
@@ -50,7 +51,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -86,6 +87,16 @@ def _product(tables: Arrays, root: Sequence[int]) -> "CanonicalElement":
     """The product of root's states as a canonical element: its quotient is already breadth first."""
     images, sections = _quotient(_product_tables(tables, root))[2]
     return CanonicalElement(images.shape[1], images.tobytes(), sections.tobytes())
+
+
+def _stacked(parts: Sequence[Arrays]) -> tuple[np.ndarray, Arrays]:
+    """One quotient of tables rooted at state 0, stacked with offsets: each part's root class, and the class tables."""
+    starts = np.cumsum([0, *(len(images) for images, _ in parts)])[:-1]
+    color, _, tables = _quotient((
+        np.concatenate([images for images, _ in parts]),
+        np.concatenate([sections + start for (_, sections), start in zip(parts, starts)]),
+    ))
+    return color[starts], tables
 
 
 @dataclass(frozen=True)
@@ -259,14 +270,22 @@ class NucleusResult:
         if not self.is_contracting:
             raise NotContractingError("no nucleus: verdict is bound-exceeded")
         assert self.elements is not None
-        named: dict[CanonicalElement, str] = {CanonicalElement.identity(self.elements[0].k if self.elements else 2): "id"}
+        claims = [(CanonicalElement.identity(self.elements[0].k if self.elements else 2), "id")]
         for name, el in self.gen_elements:
-            named.setdefault(el, name)
-            named.setdefault(el.inverse(), name + "^-1")
-        return tuple(named.get(el, f"n{i}") for i, el in enumerate(self.elements))
+            claims += [(el, name), (el.inverse(), name + "^-1")]
+        # each element takes the first name it claims, n<i> last, with underscores appended while it is taken
+        named: dict[CanonicalElement, str] = {}
+        taken: set[str] = set()
+        for el, name in [*claims, *((el, f"n{i}") for i, el in enumerate(self.elements))]:
+            if el not in named:
+                while name in taken:
+                    name += "_"
+                named[el] = name
+                taken.add(name)
+        return tuple(map(named.__getitem__, self.elements))
 
     def element_names(self) -> list[str]:
-        """Deterministic printable names: id, generator names, then n<i>."""
+        """Distinct printable names: id, generator names and their inverses, then n<i>."""
         return list(self._names)
 
     @cached_property
@@ -275,13 +294,7 @@ class NucleusResult:
         if not self.is_contracting:
             raise NotContractingError("no nucleus: verdict is bound-exceeded")
         assert self.elements is not None
-        # one quotient of all the elements' tables, stacked; each root's section class is some root's class
-        starts = np.cumsum([0, *(el.size for el in self.elements)])[:-1]
-        color, _, (images, below) = _quotient((
-            np.concatenate([el.perms for el in self.elements]),
-            np.concatenate([el.sections + start for el, start in zip(self.elements, starts)]),
-        ))
-        roots = color[starts]
+        roots, (images, below) = _stacked([(el.perms, el.sections) for el in self.elements])
         element_of = dict(zip(roots.tolist(), range(len(roots))))
         sections = np.array([[element_of.get(c, -1) for c in row] for row in below[roots].tolist()], dtype=np.int64)
         if missing := np.argwhere(sections < 0).tolist():
@@ -336,28 +349,24 @@ def _merge(keys: np.ndarray, at: np.ndarray, new: np.ndarray, number: np.ndarray
 class _Pool:
     """Pairwise distinct elements as the states of one (images, sections) table.
 
-    It starts as the inverse closure's rows each root reaches, root after
-    root, minimized; ids holds the roots' states: identity, g1, g1^-1, ....
+    It starts as the part of the inverse closure each root reaches, stacked
+    root after root and quotiented once, as _stacked does for the nucleus
+    Moore table; ids holds the roots' states: identity, g1, g1^-1, ....
     The pair (p, q) of pool states stands for the product p q and is keyed
     p << 32 | q; in the pair graph its successors are (p|_{q(x)}, q|_x), one
     per letter x. Pairs are numbered as they are met. succ holds each pair's
     successor numbers and cls its pool state, -1 until place() puts it
-    there; keys holds the keys in sorted order and at the number of each.
+    there; keys holds the keys in sorted order and at the number of each,
+    the one index of pairs met, which explore searches once per met key.
     """
 
     def __init__(self, gens: Sequence[StateRef]) -> None:
         aut = invert(_automaton_of(gens))
         assert aut.inverse_index is not None
-        e = len(aut)
-        # row e is the identity
-        images, sections = _with_identity(aut.tables)
-        roots = [e, *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
-        order = np.concatenate([_reachable(sections, [r]) for r in roots])
-        # a state met by several roots has a row in each; sections point at its first
-        row = np.full(e + 1, len(order))
-        np.minimum.at(row, order, np.arange(len(order)))
-        color, _, (self.images, self.sections) = _quotient((images[order], row[sections[order]]))
-        self.ids = color[row[roots]]
+        # row len(aut) is the identity
+        tables = _with_identity(aut.tables)
+        roots = [len(aut), *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
+        self.ids, (self.images, self.sections) = _stacked([_restrict(tables, [r])[1] for r in roots])
         # pair numbers and pool states fit in int32, which halves most of the pair store
         self.cls = np.empty(0, dtype=np.int32)
         self.succ = np.empty((0, self.images.shape[1]), dtype=np.int32)
@@ -368,22 +377,18 @@ class _Pool:
 
         A frontier of n pairs meets its successors in one index pass for all
         k letters while k n is at most _ONE_PASS, and a letter at a time
-        above. Either way its new pairs are numbered by the first letter that
-        meets them, then in key order, in an index of the batch's own that
-        joins the pool's at the end, and the next frontier lists them in that
-        order, so both modes meet the same pairs under the same numbers.
+        above. Either way each met key is searched once, in the pool's index,
+        and the new ones are numbered by the first letter that meets them, then
+        in key order, and join the index at once; the next frontier lists them
+        in that order, so both modes meet the same pairs under the same numbers.
         """
-        start, k = len(self.cls), self.images.shape[1]
-        keys, at, rows = self.keys[-1:], self.at[-1:], []
+        start, k, rows = len(self.cls), self.images.shape[1], []
 
         def meet(met: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # met holds one row of keys per letter: the number of each key, and the keys not met before, in number order
-            nonlocal keys, at
             number = _find(self.keys, self.at, met)
             miss = number < 0
-            number[miss] = _find(keys, at, met[miss])
-            miss = number < 0
-            new, base = _distinct(met[miss]), start + len(keys) - 1
+            new, base = _distinct(met[miss]), len(self.keys) - 1
             slot, order = np.searchsorted(new, met[miss]), slice(None)
             if len(met) > 1:
                 # order the new keys by the first letter that meets each, then by key
@@ -393,7 +398,9 @@ class _Pool:
             numbers = np.empty(len(new), dtype=np.int64)
             numbers[order] = np.arange(base, base + len(new))
             number[miss] = numbers[slot]
-            keys, at = _merge(keys, at, new, numbers)
+            # the merge holds the old index and the new at once: free the frontier's temporaries first
+            del met, miss, slot
+            self.keys, self.at = _merge(self.keys, self.at, new, numbers)
             return number, new[order]
 
         frontier = meet(roots[None])[1]
@@ -406,9 +413,7 @@ class _Pool:
             rows.append(np.concatenate([number for number, _ in met]).T)
             frontier = np.concatenate([new for _, new in met])
         self.succ = np.concatenate((self.succ, *rows))
-        rows.clear()
-        self.cls = np.concatenate((self.cls, np.full(len(keys) - 1, -1, dtype=np.int32)))
-        self.keys, self.at = _merge(self.keys, self.at, keys[:-1], at[:-1])
+        self.cls = np.concatenate((self.cls, np.full(len(self.keys) - 1 - start, -1, dtype=np.int32)))
         return start
 
     def place(self, placing: np.ndarray) -> None:
@@ -478,6 +483,7 @@ def compute_nucleus(
     pool = _Pool(gens)
     tables = pool.images, pool.sections
     gen_elements = tuple((g.name, _bfs_root(tables, i)) for g, i in zip(gens, pool.ids[1::2].tolist()))
+    result = partial(NucleusResult, max_elements=max_elements, max_depth=max_depth, gen_elements=gen_elements)
     # every pool state is a section of S, so the recurrent ones are S's recurrent sections
     members = _recurrent(pool.sections)
     member_set = set(members)
@@ -504,11 +510,7 @@ def compute_nucleus(
         members += [s for s in dict.fromkeys(pool.cls[fresh].tolist()) if s not in member_set]
         member_set.update(members)
         if len(members) > bound:
-            return NucleusResult(
-                "bound-exceeded", None, None, max_elements, max_depth,
-                witness_count=bound + 1, reason="elements",
-                gen_elements=gen_elements,
-            )
+            return result("bound-exceeded", None, None, witness_count=bound + 1, reason="elements")
         end = doubled(done)
 
     elements = tuple(sorted((_bfs_root((pool.images, pool.sections), m) for m in members), key=lambda e: e.sort_key))
@@ -526,15 +528,8 @@ def compute_nucleus(
         need[ready] = level
     below = need[pool.sections[tops]]
     if (below < 0).any():
-        return NucleusResult(
-            "bound-exceeded", None, None, max_elements, max_depth,
-            witness_count=len(elements), reason="depth",
-            gen_elements=gen_elements,
-        )
-    return NucleusResult(
-        "contracting", elements, max(1, 1 + int(below.max())), max_elements, max_depth,
-        gen_elements=gen_elements,
-    )
+        return result("bound-exceeded", None, None, witness_count=len(elements), reason="depth")
+    return result("contracting", elements, max(1, 1 + int(below.max())))
 
 
 @dataclass(frozen=True)

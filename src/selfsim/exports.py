@@ -127,7 +127,9 @@ FORMATS = tuple(_WRITERS)
 
 
 def export_graph(graph, fmt: str, root: int | None = None) -> str:
-    """Render a labeled or simplicial graph in the requested format."""
+    """Render a labeled or simplicial graph in the requested format; root, if given, is a vertex index."""
     if fmt not in _WRITERS:
         raise ValueError(f"unsupported format {fmt!r}; choose from {', '.join(FORMATS)}")
+    if root is not None and not 0 <= root < graph.vertex_count:
+        raise ValueError(f"root {root} out of range 0..{graph.vertex_count - 1}")
     return _WRITERS[fmt](graph, root)

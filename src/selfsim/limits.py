@@ -1,9 +1,10 @@
 """Asymptotic equivalence of boundary points and limit-space approximations.
 
-A boundary point is a left-infinite eventually periodic word; by convention
-its rightmost letter sits at tree level 1, so the stored sequence
-preperiod + period + period + ... lists the letters from the root outward
-and its length-n prefix is the level-n vertex under the point.
+A boundary point is a left-infinite eventually periodic word ...x2 x1, stored
+as x1, x2, ... (preperiod + period + period + ...). pointed_component puts x1
+at tree level 1, so the length-n prefix is the level-n vertex under the
+point; equivalence reads x1 deepest, so a nucleus element maps the reversed
+prefix xn ... x1 of p to the reversed prefix of an equivalent point.
 
 Two points ...x2 x1 and ...y2 y1 are equivalent when the nucleus Moore
 diagram carries a left-infinite path whose i-th edge from the end is
@@ -39,7 +40,7 @@ _POINT = re.compile(r"^\s*(\S+)\^w(?:\s+(\S+))?\s*$")
 class BoundaryPoint:
     """Eventually periodic left-infinite word, canonicalized on construction.
 
-    preperiod lists the letters nearest the root (index 0 = level 1);
+    preperiod lists x1, x2, ... (index 0 = x1, level 1 as pointed reads it);
     period repeats leftward after it. Canonical form: the period is
     primitive and cannot be rotated into the preperiod.
     """
@@ -79,7 +80,7 @@ class BoundaryPoint:
         return head
 
     def letter(self, i: int) -> int:
-        """Letter at tree level i (i >= 1)."""
+        """Letter x_i (i >= 1), at tree level i as pointed reads the point."""
         if i < 1:
             raise ValueError("levels start at 1")
         j = i - 1

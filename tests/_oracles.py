@@ -7,7 +7,8 @@ and round ranked in a dict, canonical elements built one tuple state and one
 letter at a time, the nucleus closure as one canonical product per pair of
 elements, the recurrence test over a ball of canonical products, the word
 ball as words canonicalized one at a time, freeness by enumerating
-reduced words, and breadth-first reachability by a plain queue. No code
+reduced words, breadth-first reachability by a plain queue, and
+equivalence classes by the nucleus acting on a reversed prefix. No code
 is shared with the library's vectorized, peeled or pooled implementations.
 """
 
@@ -323,6 +324,20 @@ def equivalent_points(out, sec, p, q, nstates: int) -> bool:
             break
         core -= dead
     return bool(reach & core)
+
+
+def class_by_action(elements, p, n: int) -> set[tuple[int, ...]]:
+    """Level-n words of the points equivalent to p, from the nucleus action alone.
+
+    Equivalence reads a point with its level-1 letter deepest: the first 3n
+    letters of p, reversed, are a word whose first letter the automaton reads
+    first. Every nucleus element acts on it, and the last n letters of each
+    image, reversed, are written by a section at depth 2n, which lies on an
+    infinite path reading p when 2n letters are enough to reach only such
+    sections; then they are the length-n prefix of an equivalent point.
+    """
+    w = tuple(reversed(p.prefix(3 * n)))
+    return {el.act(w)[-n:] for el in elements}
 
 
 def recurrent_nodes(successors) -> list[int]:

@@ -381,6 +381,20 @@ def test_nucleus_gen_elements_names():
     assert [el for _, el in named] == [canonical_state(g) for g in gens]
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("n5", ["id", "n5", "n5^-1", "a", "a^-1", "n5_", "n6"]),
+    ("n6", ["id", "n6", "n6^-1", "a", "a^-1", "n5", "n6_"]),
+    ("id", ["id", "id_", "id^-1", "a", "a^-1", "n5", "n6"]),
+])
+def test_nucleus_element_names_are_distinct(name, expected):
+    # a generator named like a fallback name, or id but not the identity, once named two elements alike
+    doc = parse(f"alphabet 2\na = (0 1)({name}, e)\n{name} = id(a, e)\ne = id(e, e)\ngens a {name}\n")
+    res = compute_nucleus(to_automaton(doc)[1])
+    assert res.element_names() == expected
+    aut, index = res.moore_automaton()
+    assert aut.names == tuple(expected) and list(index) == list(res.elements)
+
+
 def test_generators_from_two_automata_are_rejected():
     _, _, basilica = _load("basilica")
     _, _, odometer = _load("odometer")
@@ -787,6 +801,19 @@ def test_closure_schedule_is_pinned_by_pairs_met(monkeypatch):
         pools.clear()
         assert compute_nucleus(_load(key)[2], max_elements=1000).reason == "elements"
         assert len(pools[0].cls) == met
+
+
+@pytest.mark.parametrize("key, bound, met, states", [
+    ("aut882", 300, 27_158, 365),
+    ("aut882", 1000, 240_463, 1_039),
+    ("long-range", 300, 29_720, 353),
+    ("long-range", 1000, 247_996, 1_009),
+])
+def test_closure_pool_is_pinned_by_pairs_met_and_states(monkeypatch, key, bound, met, states):
+    # at 1,000 elements three frontiers of each entry are met a letter at a time, into a pair index of over 100,000 keys
+    pools = _recorded_pools(monkeypatch)
+    assert compute_nucleus(_load(key)[2], max_elements=bound).reason == "elements"
+    assert (len(pools[0].cls), len(pools[0].images)) == (met, states)
 
 
 def test_nucleus_bounds_must_not_be_negative():

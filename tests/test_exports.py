@@ -60,6 +60,18 @@ def test_edges_root_comment():
     assert parse_edges(text)  # comment line is skipped
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_root_outside_the_vertices_is_rejected(fmt):
+    # -1 once marked the last vertex in edges and none in dot or graphml; past the end, edges raised IndexError
+    g = _graph("basilica", 2)
+    for graph in (g, simplicial(g)):
+        for root in (-1, graph.vertex_count, 99):
+            with pytest.raises(ValueError, match="root"):
+                export_graph(graph, fmt, root=root)
+    last = export_graph(g, fmt, root=g.vertex_count - 1)
+    assert fmt != "edges" or last.startswith("# root\t11\n")
+
+
 def test_parse_edges_rejects_malformed_lines():
     with pytest.raises(ValueError):
         parse_edges("a\tb\n")
