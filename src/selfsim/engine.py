@@ -20,7 +20,8 @@ node of the pool's pair graph, kept in arrays: one sorted index of pair keys,
 in which each met key is searched once, successor pairs and pool states.
 The closure, its depth certificate and the word ball around the identity,
 whose spheres the recurrence test searches, explore it a frontier of pairs
-at a time and place new pairs with one quotient of the pool per batch.
+at a time, all letters of a frontier met as one array of keys, and place
+new pairs with one quotient of the pool per batch.
 The closure's first batch pairs the seeds, the recurrent sections of the
 generators, up to twice the end the doubling rule would take; after it the
 batches double, so there are logarithmically many quotients. No product is
@@ -319,18 +320,15 @@ class NotContractingError(RuntimeError):
 # a pair (p, q) of pool states is keyed p << 32 | q; a sorted index ends in a sentinel above every key
 _LOW = (1 << 32) - 1
 _SENTINEL = np.iinfo(np.int64).max
-# explore meets a frontier of n pairs over k letters in one index pass while k n is at most this, and a
-# letter at a time above: most frontiers hold a few dozen pairs, whose passes cost numpy calls, not work,
-# while one pass over every frontier keeps a large one's k key rows and lookups alive at once, and took
-# the tracemalloc peak of compute_nucleus(long-range, max_elements=4000) from 214 to 281 MB
-_ONE_PASS = 1 << 15
 
 
 def _find(keys: np.ndarray, at: np.ndarray, query: np.ndarray) -> np.ndarray:
     """at[i] where keys[i] equals the query key, element by element, or -1; keys sorted."""
     pos = np.searchsorted(keys, query)
+    # the gathered keys are freed before the numbers are gathered
+    miss = keys[pos] != query
     found = at[pos]
-    found[keys[pos] != query] = -1
+    found[miss] = -1
     return found
 
 
@@ -354,7 +352,8 @@ class _Pool:
     Moore table; ids holds the roots' states: identity, g1, g1^-1, ....
     The pair (p, q) of pool states stands for the product p q and is keyed
     p << 32 | q; in the pair graph its successors are (p|_{q(x)}, q|_x), one
-    per letter x. Pairs are numbered as they are met. succ holds each pair's
+    per letter x. Pairs are numbered as they are met: frontier by frontier,
+    by the first letter that meets them, then by key. succ holds each pair's
     successor numbers and cls its pool state, -1 until place() puts it
     there; keys holds the keys in sorted order and at the number of each,
     the one index of pairs met, which explore searches once per met key.
@@ -375,43 +374,42 @@ class _Pool:
     def explore(self, roots: np.ndarray) -> int:
         """Meet the pairs reachable from the root keys; those not met before are numbered from the result on.
 
-        A frontier of n pairs meets its successors in one index pass for all
-        k letters while k n is at most _ONE_PASS, and a letter at a time
-        above. Either way each met key is searched once, in the pool's index,
-        and the new ones are numbered by the first letter that meets them, then
-        in key order, and join the index at once; the next frontier lists them
-        in that order, so both modes meet the same pairs under the same numbers.
+        Each frontier, the roots first, is met as one (k, n) array of keys, a
+        row per letter, each key searched once in the pool's index. New keys
+        are numbered by the first letter that meets them, then by key, and
+        join the index at once; the next frontier lists them in that order.
         """
-        start, k, rows = len(self.cls), self.images.shape[1], []
-
-        def meet(met: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # met holds one row of keys per letter: the number of each key, and the keys not met before, in number order
+        start, rows, met = len(self.cls), None, roots[None]
+        while True:
             number = _find(self.keys, self.at, met)
             miss = number < 0
-            new, base = _distinct(met[miss]), len(self.keys) - 1
-            slot, order = np.searchsorted(new, met[miss]), slice(None)
-            if len(met) > 1:
-                # order the new keys by the first letter that meets each, then by key
-                first = np.full(len(new), len(met))
-                np.minimum.at(first, slot, np.nonzero(miss)[0])
-                order = np.argsort(first, kind="stable")
+            missed = met[miss]
+            new, base = _distinct(missed), len(self.keys) - 1
+            # order the new keys by the first letter that meets each, then by key; missed lists them letter by letter
+            slot, first = np.searchsorted(new, missed), np.full(len(new), len(met))
+            np.minimum.at(first, slot, np.repeat(np.arange(len(met)), miss.sum(axis=1)))
+            order = np.argsort(first, kind="stable")
             numbers = np.empty(len(new), dtype=np.int64)
             numbers[order] = np.arange(base, base + len(new))
             number[miss] = numbers[slot]
+            # the first pass numbers the roots, which are no pair's successors
+            rows = [] if rows is None else rows + [number.T]
             # the merge holds the old index and the new at once: free the frontier's temporaries first
-            del met, miss, slot
-            self.keys, self.at = _merge(self.keys, self.at, new, numbers)
-            return number, new[order]
-
-        frontier = meet(roots[None])[1]
-        while len(frontier):
-            # all letters in one pass while small; above, a letter at a time keeps the temporaries to the frontier's size
-            step = k if k * len(frontier) <= _ONE_PASS else 1
-            q = frontier & _LOW
-            met = [meet(self.sections[frontier >> 32, self.images[q, x:x + step].T] << 32 | self.sections[q, x:x + step].T)
-                   for x in range(0, k, step)]
-            rows.append(np.concatenate([number for number, _ in met]).T)
-            frontier = np.concatenate([new for _, new in met])
+            del met, number, miss, missed, slot, first
+            if len(new):
+                self.keys, self.at = _merge(self.keys, self.at, new, numbers)
+            frontier = new[order]
+            del new, numbers, order
+            if not len(frontier):
+                break
+            # the successors (p|_{q(x)}, q|_x) in place in one key array: take writes it row by row, as masks read it
+            p, q = frontier >> 32, frontier & _LOW
+            del frontier
+            met = self.sections[p, np.take(self.images.T, q, axis=1)]
+            del p
+            met <<= 32
+            met |= np.take(self.sections.T, q, axis=1)
+            del q
         self.succ = np.concatenate((self.succ, *rows))
         self.cls = np.concatenate((self.cls, np.full(len(self.keys) - 1 - start, -1, dtype=np.int32)))
         return start
@@ -472,11 +470,11 @@ def compute_nucleus(
     most at twice the end that rule gives, so it holds at most four times
     the roots the rule would take first. Each batch explores its roots and
     places the pairs behind its cycles in the pool as members; the closure
-    stops as soon as there are more than max_elements. The certificate
-    places every pair below (S u N)^2 and gives each pool state a need: a
-    state in N needs level 0, any other state and every root one level more
-    than its sections need. A need above max_depth, or a cycle of states
-    outside N, is bound-exceeded.
+    stops as soon as there are more than max_elements, seeds included. The
+    certificate places every pair below (S u N)^2 and gives each pool state
+    a need: a state in N needs level 0, any other state and every root one
+    level more than its sections need. A need above max_depth, or a cycle
+    of states outside N, is bound-exceeded.
     """
     if max_elements < 0 or max_depth < 0:
         raise ValueError("max_elements and max_depth must not be negative")
@@ -487,8 +485,6 @@ def compute_nucleus(
     # every pool state is a section of S, so the recurrent ones are S's recurrent sections
     members = _recurrent(pool.sections)
     member_set = set(members)
-    # members join a batch at a time, and the one that passes the bound is the witness
-    bound = max(len(members), max_elements)
 
     def doubled(done: int) -> int:
         # the least end with end^2 - done^2 roots at least the pool states and the pairs met
@@ -497,6 +493,9 @@ def compute_nucleus(
     # the first batch pairs the seeds: a few seeds take one round, many at most four times the rule's roots
     done, end = 0, min(len(members), 2 * doubled(0))
     while done < len(members):
+        # members join a batch at a time, the seeds first, and the one that passes the bound is the witness
+        if len(members) > max_elements:
+            return result("bound-exceeded", None, None, witness_count=max_elements + 1, reason="elements")
         ids = np.array(members[:end], dtype=np.int64)
         start = pool.explore(np.concatenate([(ids[done:, None] << 32 | ids).ravel(),
                                              (ids[:done, None] << 32 | ids[done:]).ravel()]))
@@ -509,8 +508,6 @@ def compute_nucleus(
         pool.place(np.logical_and(seen, pool.cls < 0, out=seen))
         members += [s for s in dict.fromkeys(pool.cls[fresh].tolist()) if s not in member_set]
         member_set.update(members)
-        if len(members) > bound:
-            return result("bound-exceeded", None, None, witness_count=bound + 1, reason="elements")
         end = doubled(done)
 
     elements = tuple(sorted((_bfs_root((pool.images, pool.sections), m) for m in members), key=lambda e: e.sort_key))
@@ -527,9 +524,10 @@ def compute_nucleus(
             break
         need[ready] = level
     below = need[pool.sections[tops]]
-    if (below < 0).any():
+    # every root needs one level more than its sections, so depth 0 certifies nothing
+    if (below < 0).any() or 1 + below.max() > max_depth:
         return result("bound-exceeded", None, None, witness_count=len(elements), reason="depth")
-    return result("contracting", elements, max(1, 1 + int(below.max())))
+    return result("contracting", elements, 1 + int(below.max()))
 
 
 @dataclass(frozen=True)

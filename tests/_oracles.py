@@ -5,11 +5,12 @@ documents, union-find over explicit edge lists, path search by plain
 memoized recursion, partition refinement by one tuple signature per state
 and round ranked in a dict, canonical elements built one tuple state and one
 letter at a time, the nucleus closure as one canonical product per pair of
-elements, the recurrence test over a ball of canonical products, the word
-ball as words canonicalized one at a time, freeness by enumerating
-reduced words, breadth-first reachability by a plain queue, and
-equivalence classes by the nucleus acting on a reversed prefix. No code
-is shared with the library's vectorized, peeled or pooled implementations.
+elements, pair numbers by a walk over a dict, the recurrence test over a
+ball of canonical products, the word ball as words canonicalized one at a
+time, freeness by enumerating reduced words, breadth-first reachability by
+a plain queue, and equivalence classes by the nucleus acting on a reversed
+prefix. No code is shared with the library's vectorized, peeled or pooled
+implementations.
 """
 
 import functools
@@ -375,6 +376,35 @@ def reachable_by_queue(successors, roots, seen) -> tuple[list[int], set[int]]:
     return order, marked
 
 
+def pair_numbers(images, sections, known: dict[int, int], roots) -> tuple[dict[int, int], list[list[int]]]:
+    """Pair numbers and successor rows of the pairs reachable from the root keys, one dict entry at a time.
+
+    The pair (p, q) of table states is keyed p << 32 | q, and its successor
+    at letter x is (p|_{q(x)}, q|_x). known numbers the keys met before
+    0, 1, ...; frontier by frontier, the roots first, and within a frontier
+    letter by letter, the keys not numbered yet take the next numbers in key
+    order, and the next frontier is those keys in number order. The result
+    maps every key met to its number and lists the successor numbers of
+    each new pair, in number order.
+    """
+    images, sections = images.tolist(), sections.tolist()
+    numbers = dict(known)
+
+    def number(keys) -> list[int]:
+        new = sorted({key for key in keys if key not in numbers})
+        numbers.update(zip(new, range(len(numbers), len(numbers) + len(new))))
+        return new
+
+    rows: list[list[int]] = []
+    frontier = number(roots)
+    while frontier:
+        pairs = [(key >> 32, key & 0xFFFFFFFF) for key in frontier]
+        met = [[sections[p][images[q][x]] << 32 | sections[q][x] for p, q in pairs] for x in range(len(images[0]))]
+        frontier = [key for keys in met for key in number(keys)]
+        rows += [[numbers[keys[i]] for keys in met] for i in range(len(pairs))]
+    return numbers, rows
+
+
 def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) -> NucleusResult:
     """The nucleus closure and its depth certificate, one canonical product per pair.
 
@@ -400,6 +430,12 @@ def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) ->
     members: dict[CanonicalElement, None] = dict(seeds)
     frontier = list(members)
     gen_elements = tuple(named)
+    if len(members) > max_elements:
+        return NucleusResult(
+            "bound-exceeded", None, None, max_elements, max_depth,
+            witness_count=max_elements + 1, reason="elements",
+            gen_elements=gen_elements,
+        )
     while frontier:
         new: list[CanonicalElement] = []
         existing = list(members)
@@ -441,14 +477,14 @@ def nucleus_by_products(gens, max_elements: int = 10000, max_depth: int = 20) ->
         while True:
             level = {prod.sections[i][x] for i in level for x in range(prod.k)}
             d += 1
-            if all(inside(i) for i in level):
-                break
-            if d >= max_depth:
+            if d > max_depth:
                 return NucleusResult(
                     "bound-exceeded", None, None, max_elements, max_depth,
                     witness_count=len(elements), reason="depth",
                     gen_elements=gen_elements,
                 )
+            if all(inside(i) for i in level):
+                break
         depth = max(depth, d)
     return NucleusResult(
         "contracting", elements, depth, max_elements, max_depth,
