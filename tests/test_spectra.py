@@ -14,7 +14,7 @@ from selfsim import (
     spectrum,
     to_automaton,
 )
-from selfsim.spectra import DENSE_LIMIT
+from selfsim.spectra import DENSE_LIMIT, _lower_operator
 
 
 def _graph(key, n):
@@ -25,7 +25,7 @@ def _graph(key, n):
 def test_markov_operator_is_symmetric_doubly_stochastic():
     for key, n in (("basilica", 4), ("grigorchuk", 3), ("sierpinski", 3)):
         M = markov_operator(_graph(key, n))
-        # spectrum hands the matrix to eigvalsh, which reads one triangle, so symmetry must be exact
+        # eigvalsh reads one triangle, and spectrum hands it only the lower one, so symmetry must be exact
         assert np.array_equal(M, M.T)
         assert np.allclose(M.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(M.sum(axis=1), 1.0, atol=1e-12)
@@ -33,7 +33,8 @@ def test_markov_operator_is_symmetric_doubly_stochastic():
 
 
 def test_markov_operator_is_arrows_plus_transpose_bytewise():
-    # every level of at most a quarter of DENSE_LIMIT vertices on each entry, and basilica at DENSE_LIMIT
+    # every level of at most a quarter of DENSE_LIMIT vertices on each entry, and basilica at DENSE_LIMIT,
+    # whose spectrum test_dense_limit_enforced already takes
     graphs = [("basilica", 12)]
     for entry in catalog_list():
         k = entry.document().alphabet_size
@@ -43,7 +44,13 @@ def test_markov_operator_is_arrows_plus_transpose_bytewise():
         arrows = np.zeros((g.vertex_count, g.vertex_count))
         for img in g.images:
             np.add.at(arrows, (np.arange(g.vertex_count), img), 1.0)
-        assert markov_operator(g).tobytes() == ((arrows + arrows.T) / (2 * len(g.images))).tobytes(), (key, n)
+        M = markov_operator(g)
+        assert M.tobytes() == ((arrows + arrows.T) / (2 * len(g.images))).tobytes(), (key, n)
+        # spectrum's matrix: M's lower triangle, bytewise, over a zero strict upper triangle
+        lower = _lower_operator(g)
+        assert lower.tobytes() == np.tril(M).tobytes() and not np.triu(lower, 1).any(), (key, n)
+        if g.vertex_count < DENSE_LIMIT:
+            assert spectrum(g).tobytes() == np.linalg.eigvalsh(M)[::-1].tobytes(), (key, n)
 
 
 def test_markov_operator_entries_count_arrows():
