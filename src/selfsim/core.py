@@ -17,9 +17,9 @@ The operations on raw automaton tables (product, quotient, inverse rows,
 breadth-first reachability and the recurrent-node peel) are written once
 here and shared with the engine's canonical elements, the Schreier level
 tables and the boundary-point equivalence arrows. Breadth-first
-reachability is one array walk over rows of successors, with a seen mask:
-table states through their section rows, pairs of pool states through the
-pair graph, or letters through the generators' images.
+reachability is one walk over rows of successors, with a seen mask: table
+states through their section rows, pairs of pool states through the pair
+graph, or letters through the generators' images.
 
 Product, quotient and inverse rows compute on (n, k) int64 numpy tables
 only. A MealyAutomaton reads its rows into such arrays once, its tables
@@ -32,11 +32,18 @@ letter, each other the letter the positions before it wrote), and new
 tuples numbered by first occurrence: through a dense index of their
 mixed-radix keys when those are few, by a dict on their bytes otherwise.
 The cost grows with L, so the engine passes a word as blocks of factors,
-states of the _pair_tables an automaton caches. A quotient is Moore
-refinement in numpy rounds, one int64 key ranked by one argsort per round
-until the partition is discrete or stable, classes numbered by first
-occurrence, class tables fancy-indexed. The recurrent peel is numpy rounds
-too.
+states of the _pair_tables an automaton caches. A quotient of a large table
+is Moore refinement in numpy rounds, one int64 key ranked by one argsort per
+round until the partition is discrete or stable, classes numbered by first
+occurrence, class tables fancy-indexed. The recurrent peel of a large graph
+is numpy rounds too.
+
+The walk, the peel and the refinement also run as plain Python loops over
+.tolist() rows: a queue, a peel, and Moore rounds that number signatures
+through a dict. They take the inputs of fewer entries (.size) than
+_WALK_LIMIT, _PEEL_LIMIT and _REFINE_LIMIT, where numpy's fixed cost per
+call, not the entries, is the work, as on the few-state tables of a catalog
+closure. Both forms return the same arrays, bit for bit.
 """
 
 from __future__ import annotations
@@ -376,6 +383,17 @@ _INDEX_FLOOR = 1 << 11
 # word has 50 positions.
 _INDEX_CAP = 1 << 20
 
+# Inputs of fewer entries (.size) than these limits take the list forms of _reachable, _recurrent
+# and refine_partition; a numpy round costs a fixed 5-20 us of calls whatever its size. Each limit is
+# where the numpy form started to win on random tables of 2-4 columns (2-core Xeon, Python 3.11,
+# numpy 2.4; median us per call, numpy / lists, BENCH_small_tables.json):
+# walk 84 / 52 at 512 entries, 99 / 81 at 768, 112 / 113 at 1,024;
+_WALK_LIMIT = 1024
+# peel 42 / 17 at 128 entries, 34 / 25 and 15 / 16 at 192 (2 and 4 columns), 46 / 50 at 384;
+_PEEL_LIMIT = 192
+# refinement 65 / 36 at 64 entries, 81 / 61 at 96, 81 / 79 and 62 / 43 at 128 (2 and 3 columns).
+_REFINE_LIMIT = 128
+
 
 def _product_tables(tables: Arrays, root: Sequence[int]) -> Arrays:
     """Tables of the tuples of states of one table reachable from a nonempty root.
@@ -514,12 +532,28 @@ def _unseen(met: np.ndarray, seen: np.ndarray) -> np.ndarray:
 def _reachable(successors: np.ndarray, roots: Sequence[int], seen: np.ndarray | None = None) -> np.ndarray:
     """The nodes reachable from roots that seen does not mark, in the order a queue meets them; marks them.
 
-    Row i of the (n, width) int array lists node i's successors. A walk goes
-    a frontier at a time, each frontier's new nodes by first occurrence in its
-    flattened rows, and does not pass a node that seen marks.
+    Row i of the (n, width) int array lists node i's successors. A walk does
+    not pass a node that seen marks. Below _WALK_LIMIT entries it is a queue
+    over the rows as lists; above, it goes a frontier at a time in numpy, each
+    frontier's new nodes by first occurrence in its flattened rows, which is
+    the order the queue meets them in too.
     """
     if seen is None:
         seen = np.zeros(len(successors), dtype=bool)
+    if successors.size < _WALK_LIMIT:
+        rows, marked, order = successors.tolist(), seen.tolist(), []
+        for i in np.asarray(roots, dtype=np.int64).tolist():
+            if not marked[i]:
+                marked[i] = True
+                order.append(i)
+        # the queue: the loop reads order as it grows
+        for i in order:
+            for j in rows[i]:
+                if not marked[j]:
+                    marked[j] = True
+                    order.append(j)
+        seen[order] = True
+        return np.array(order, dtype=np.int64)
     order = [_unseen(np.asarray(roots, dtype=np.int64), seen)]
     while len(order[-1]):
         order.append(_unseen(successors[order[-1]].ravel(), seen))
@@ -538,13 +572,30 @@ def _restrict(tables: Arrays, roots: Sequence[int]) -> tuple[np.ndarray, Arrays]
 def _recurrent(successors: np.ndarray) -> list[int]:
     """Nodes reachable from a cycle, self-loops included, in ascending order.
 
-    Kahn's peel in numpy rounds: drop the nodes that no remaining node points
-    to, counting repeated edges with multiplicity, until none is left to drop;
-    a round costs the edges of the nodes it drops. The nodes left are exactly
-    those that end arbitrarily long paths. Row i of the (n, width) int array
-    lists node i's successors; entries below 0 are no edge.
+    Kahn's peel: drop the nodes that no remaining node points to, counting
+    repeated edges with multiplicity, until none is left to drop. The nodes
+    left are exactly those that end arbitrarily long paths. Row i of the
+    (n, width) int array lists node i's successors; entries below 0 are no
+    edge. Below _PEEL_LIMIT entries the peel is a loop over the rows as
+    lists; above, it runs in numpy rounds, each costing the edges of the
+    nodes it drops.
     """
     n = len(successors)
+    if successors.size < _PEEL_LIMIT:
+        rows, indegree = successors.tolist(), [0] * n
+        for row in rows:
+            for j in row:
+                if j >= 0:
+                    indegree[j] += 1
+        drop = [i for i, d in enumerate(indegree) if not d]
+        # the loop reads drop as it grows
+        for i in drop:
+            for j in rows[i]:
+                if j >= 0:
+                    indegree[j] -= 1
+                    if not indegree[j]:
+                        drop.append(j)
+        return [i for i, d in enumerate(indegree) if d]
     indegree = np.bincount(successors[successors >= 0], minlength=n)
     drop = np.flatnonzero(indegree == 0)
     while len(drop):
@@ -585,14 +636,28 @@ def refine_partition(images: np.ndarray, sections: np.ndarray) -> tuple[np.ndarr
     """Coarsest partition where classes share output rows and map sections to classes.
 
     Moore rounds on (n, k) int arrays until the class count stops growing or
-    reaches n: the output rows (entries below k), then the rows (color[i],
-    color[sections[i, 0]], ...), are folded a column at a time into one
-    int64 key per state, each column a digit in radix max(count, k), and
-    ranked by one argsort; a key that would reach 2^62 is ranked first.
-    Classes come as an int64 array, renumbered by first occurrence from one
-    sort; two states share one iff they act alike.
+    reaches n, classing the states by their output rows, then by the rows
+    (color[i], color[sections[i, 0]], ...). Below _REFINE_LIMIT entries a
+    round numbers these signatures by first occurrence through a dict. Above,
+    a round folds them a column at a time into one int64 key per state, each
+    column a digit in radix max(count, k) (output entries are below k), and
+    ranks the keys by one argsort; a key that would reach 2^62 is ranked
+    first. Both forms pass through the same partitions and stop at the same
+    round. Classes come as an int64 array, numbered by first occurrence (in
+    numpy, renumbered from one sort); two states share one iff they act alike.
     """
     n, k = images.shape
+    if images.size < _REFINE_LIMIT:
+        columns, color, count = sections.T.tolist(), [0] * n, min(n, 1)
+        signatures = zip(*images.T.tolist())
+        while count < n:
+            number: dict[tuple[int, ...], int] = {}
+            color = [number.setdefault(s, len(number)) for s in signatures]
+            previous, count = count, len(number)
+            if count == previous:
+                break
+            signatures = zip(color, *(map(color.__getitem__, col) for col in columns))
+        return np.array(color, dtype=np.int64), count
     color, count, columns = np.zeros(n, dtype=np.int64), min(n, 1), images.T
     while count < n:
         radix, key, span = max(count, k), color, count

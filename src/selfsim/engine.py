@@ -63,13 +63,13 @@ from .core import (
     Permutation,
     StateRef,
     _automaton_of,
-    _distinct,
     _inverse_rows,
     _product_tables,
     _quotient,
     _reachable,
     _recurrent,
     _restrict,
+    _starts,
     _tuples,
     _unseen,
     _walk,
@@ -347,9 +347,10 @@ def _merge(keys: np.ndarray, at: np.ndarray, new: np.ndarray, number: np.ndarray
 class _Pool:
     """Pairwise distinct elements as the states of one (images, sections) table.
 
-    It starts as the part of the inverse closure each root reaches, stacked
-    root after root and quotiented once, as _stacked does for the nucleus
-    Moore table; ids holds the roots' states: identity, g1, g1^-1, ....
+    It starts as the part of the inverse closure the roots reach, walked
+    root after root with one seen mask and quotiented once: the classes, and
+    the roots' classes, of the copies _stacked would stack, without the
+    repeats. ids holds the roots' states: identity, g1, g1^-1, ....
     The pair (p, q) of pool states stands for the product p q and is keyed
     p << 32 | q; in the pair graph its successors are (p|_{q(x)}, q|_x), one
     per letter x. Pairs are numbered as they are met: frontier by frontier,
@@ -365,7 +366,11 @@ class _Pool:
         # row len(aut) is the identity
         tables = _with_identity(aut.tables)
         roots = [len(aut), *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
-        self.ids, (self.images, self.sections) = _stacked([_restrict(tables, [r])[1] for r in roots])
+        # a state seen reaches only seen states, so the walks list the stacked copies' states without repeats
+        seen = np.zeros(len(tables[0]), dtype=bool)
+        number, walked = _restrict(tables, np.concatenate([_reachable(tables[1], [r], seen) for r in roots]))
+        color, _, (self.images, self.sections) = _quotient(walked)
+        self.ids = color[number[roots]]
         # pair numbers and pool states fit in int32, which halves most of the pair store
         self.cls = np.empty(0, dtype=np.int32)
         self.succ = np.empty((0, self.images.shape[1]), dtype=np.int32)
@@ -383,19 +388,29 @@ class _Pool:
         while True:
             number = _find(self.keys, self.at, met)
             miss = number < 0
-            missed = met[miss]
-            new, base = _distinct(missed), len(self.keys) - 1
-            # order the new keys by the first letter that meets each, then by key; missed lists them letter by letter
-            slot, first = np.searchsorted(new, missed), np.full(len(new), len(met))
-            np.minimum.at(first, slot, np.repeat(np.arange(len(met)), miss.sum(axis=1)))
+            missed, letters = met[miss], miss.sum(axis=1)
+            del met
+            # one stable sort of the misses: each new key is a run, led by its earliest miss; missed
+            # lists the misses letter by letter, so a leader's position gives the first letter meeting its key
+            by_key = np.argsort(missed, kind="stable")
+            runs = _starts(missed[by_key])
+            lead = by_key[runs]
+            new, base = missed[lead], len(self.keys) - 1
+            first = np.searchsorted(np.cumsum(letters), lead, side="right")
+            del missed, lead
+            # order the new keys by the first letter that meets each, then by key
             order = np.argsort(first, kind="stable")
-            numbers = np.empty(len(new), dtype=np.int64)
+            numbers = np.empty(len(new), dtype=np.int32)
             numbers[order] = np.arange(base, base + len(new))
-            number[miss] = numbers[slot]
+            # each miss takes its run's number, scattered from key order back to miss order
+            taken = np.cumsum(runs, dtype=np.int32)
+            taken -= 1
+            taken[by_key] = numbers[taken]
+            number[miss] = taken
             # the first pass numbers the roots, which are no pair's successors
             rows = [] if rows is None else rows + [number.T]
             # the merge holds the old index and the new at once: free the frontier's temporaries first
-            del met, number, miss, missed, slot, first
+            del number, miss, runs, by_key, taken, first
             if len(new):
                 self.keys, self.at = _merge(self.keys, self.at, new, numbers)
             frontier = new[order]

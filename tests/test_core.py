@@ -26,6 +26,7 @@ from selfsim import (
     word,
     word_str,
 )
+from selfsim import core
 from selfsim.core import _quotient, _reachable, _recurrent, refine_partition
 
 from ._oracles import doc_act, quotient_by_tuples, reachable_by_queue, recurrent_nodes, refine_by_signatures, words_upto
@@ -325,7 +326,13 @@ def _generated_digraph(rng):
     return kind, out
 
 
-def test_recurrent_matches_walk_oracle_on_generated_digraphs():
+# a kernel helper's size limit at 0 sends every input to its numpy form, and above every input here to its list form
+_FORMS = pytest.mark.parametrize("limit", [0, 1 << 30], ids=["numpy", "lists"])
+
+
+@_FORMS
+def test_recurrent_matches_walk_oracle_on_generated_digraphs(monkeypatch, limit):
+    monkeypatch.setattr(core, "_PEEL_LIMIT", limit)
     assert _recurrent(np.empty((0, 0), dtype=np.int64)) == recurrent_nodes([]) == []
     assert _recurrent(np.empty((2, 0), dtype=np.int64)) == recurrent_nodes([[], []]) == []
     rng, pad = random.Random(7), random.Random(8)
@@ -342,7 +349,9 @@ def test_recurrent_matches_walk_oracle_on_generated_digraphs():
             assert got
 
 
-def test_reachable_matches_queue_oracle_on_generated_successor_arrays():
+@_FORMS
+def test_reachable_matches_queue_oracle_on_generated_successor_arrays(monkeypatch, limit):
+    monkeypatch.setattr(core, "_WALK_LIMIT", limit)
     rng = random.Random(9)
     for _ in range(300):
         n, width = rng.randint(1, 20), rng.randint(1, 3)
@@ -416,7 +425,9 @@ def _check_quotient(images, sections, k):
     assert got[2][1].tolist() == [list(row) for row in class_sections]
 
 
-def test_refine_partition_matches_signature_oracle():
+@_FORMS
+def test_refine_partition_matches_signature_oracle(monkeypatch, limit):
+    monkeypatch.setattr(core, "_REFINE_LIMIT", limit)
     color, count = refine_partition(np.empty((0, 2), np.int64), np.empty((0, 2), np.int64))
     assert (color.tolist(), count) == refine_by_signatures([], []) == ([], 0)
     assert color.dtype == np.int64
@@ -429,7 +440,7 @@ def test_refine_partition_matches_signature_oracle():
                 color, count = refine_partition(np.array(images), np.array(sections))
                 assert (color.tolist(), count) == refine_by_signatures(images, sections), (k, images, sections)
                 assert count == len(set(color))
-                # with k = 11 and n >= 100 the folded keys pass 2^62 and are re-ranked within a round
+                # in numpy, with k = 11 and n >= 100 the folded keys pass 2^62 and are re-ranked within a round
                 _check_quotient(images, sections, k)
                 if n <= 6 and k <= 3:
                     # Moore: inequivalent states differ on some word of length below n
