@@ -14,10 +14,11 @@ the recurrent sections of all pairwise products until stable or a bound
 trips. Recurrent sections of a finite-state element are the states
 reachable through a cycle of its automaton. The closure keeps every
 element it meets as one state of a pool, a single numpy table of pairwise
-distinct elements that starts as the automaton's own inverse-closed table,
-stacked root by root. So an element is an int and a product of two is a
-node of the pool's pair graph, kept in arrays: one sorted index of pair keys,
-in which each met key is searched once, successor pairs and pool states.
+distinct elements that starts as one quotient (_seeded) of the part of the
+automaton's inverse-closed table the generators reach, walked root after
+root. So an element is an int and a product of two is a node of the pool's
+pair graph, kept in arrays: one sorted index of pair keys, in which each met
+key is searched once, successor pairs and pool states.
 The closure, its depth certificate and the word ball around the identity,
 whose spheres the recurrence test searches, explore it a frontier of pairs
 at a time, all letters of a frontier met as one array of keys, and place
@@ -90,14 +91,13 @@ def _product(tables: Arrays, root: Sequence[int]) -> "CanonicalElement":
     return CanonicalElement(images.shape[1], images.tobytes(), sections.tobytes())
 
 
-def _stacked(parts: Sequence[Arrays]) -> tuple[np.ndarray, Arrays]:
-    """One quotient of tables rooted at state 0, stacked with offsets: each part's root class, and the class tables."""
-    starts = np.cumsum([0, *(len(images) for images, _ in parts)])[:-1]
-    color, _, tables = _quotient((
-        np.concatenate([images for images, _ in parts]),
-        np.concatenate([sections + start for (_, sections), start in zip(parts, starts)]),
-    ))
-    return color[starts], tables
+def _seeded(tables: Arrays, roots: Sequence[int]) -> tuple[np.ndarray, Arrays]:
+    """One quotient of the part of a table that roots reach, walked root after root: the roots' classes, and the class tables."""
+    # a state seen reaches only seen states, so the walks list each root's copy of what it reaches without repeats
+    seen = np.zeros(len(tables[0]), dtype=bool)
+    number, walked = _restrict(tables, np.concatenate([_reachable(tables[1], [r], seen) for r in roots]))
+    color, _, classes = _quotient(walked)
+    return color[number[roots]], classes
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,11 @@ class NucleusResult:
         if not self.is_contracting:
             raise NotContractingError("no nucleus: verdict is bound-exceeded")
         assert self.elements is not None
-        roots, (images, below) = _stacked([(el.perms, el.sections) for el in self.elements])
+        starts = np.cumsum([0, *(el.size for el in self.elements)])[:-1]
+        roots, (images, below) = _seeded((
+            np.concatenate([el.perms for el in self.elements]),
+            np.concatenate([el.sections + start for el, start in zip(self.elements, starts)]),
+        ), starts)
         element_of = dict(zip(roots.tolist(), range(len(roots))))
         sections = np.array([[element_of.get(c, -1) for c in row] for row in below[roots].tolist()], dtype=np.int64)
         if missing := np.argwhere(sections < 0).tolist():
@@ -347,10 +351,10 @@ def _merge(keys: np.ndarray, at: np.ndarray, new: np.ndarray, number: np.ndarray
 class _Pool:
     """Pairwise distinct elements as the states of one (images, sections) table.
 
-    It starts as the part of the inverse closure the roots reach, walked
-    root after root with one seen mask and quotiented once: the classes, and
-    the roots' classes, of the copies _stacked would stack, without the
-    repeats. ids holds the roots' states: identity, g1, g1^-1, ....
+    It starts as _seeded's one quotient of the part of the inverse closure
+    the roots reach, walked root after root: the classes, and the roots'
+    classes, of one copy per root of what it reaches, without the repeats.
+    ids holds the roots' states: identity, g1, g1^-1, ....
     The pair (p, q) of pool states stands for the product p q and is keyed
     p << 32 | q; in the pair graph its successors are (p|_{q(x)}, q|_x), one
     per letter x. Pairs are numbered as they are met: frontier by frontier,
@@ -364,13 +368,8 @@ class _Pool:
         aut = invert(_automaton_of(gens))
         assert aut.inverse_index is not None
         # row len(aut) is the identity
-        tables = _with_identity(aut.tables)
         roots = [len(aut), *(i for g in gens for i in (g.index, aut.inverse_index[g.index]))]
-        # a state seen reaches only seen states, so the walks list the stacked copies' states without repeats
-        seen = np.zeros(len(tables[0]), dtype=bool)
-        number, walked = _restrict(tables, np.concatenate([_reachable(tables[1], [r], seen) for r in roots]))
-        color, _, (self.images, self.sections) = _quotient(walked)
-        self.ids = color[number[roots]]
+        self.ids, (self.images, self.sections) = _seeded(_with_identity(aut.tables), roots)
         # pair numbers and pool states fit in int32, which halves most of the pair store
         self.cls = np.empty(0, dtype=np.int32)
         self.succ = np.empty((0, self.images.shape[1]), dtype=np.int32)

@@ -1,6 +1,7 @@
 """Words, permutations, automata, actions, inversion, products, minimization."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -26,7 +27,8 @@ from selfsim import (
     word,
     word_str,
 )
-from selfsim import core
+from perfbench.workloads import build
+from selfsim import core, engine
 from selfsim.core import _quotient, _reachable, _recurrent, refine_partition
 
 from ._oracles import doc_act, quotient_by_tuples, reachable_by_queue, recurrent_nodes, refine_by_signatures, words_upto
@@ -161,6 +163,8 @@ def test_automaton_validates_inverse_index():
         MealyAutomaton(*fields, (0, 1, 2))
     with pytest.raises(ValueError, match="state indices"):
         MealyAutomaton(*fields, (7, 0, 1))
+    with pytest.raises(ValueError, match="one entry per state"):
+        MealyAutomaton(Alphabet(2), ("p",), (Permutation.identity(2),), ((0, 0),), (0, 0))
     # the closure and its quotient name true inverses, so both still build
     closed = invert(aut)
     small, assignment = minimize(closed)
@@ -453,6 +457,43 @@ def test_refine_partition_matches_signature_oracle(monkeypatch, limit):
                 color, count = refine_partition(np.array(images), np.array(sections))
                 assert (color.tolist(), count) == refine_by_signatures(images, sections) == (list(range(n)), n)
                 _check_quotient(images, sections, k)
+
+
+def test_every_size_selected_form_carries_benchmark_traffic(monkeypatch):
+    # a second form behind a size test stays only while the benchmark runs both: one pass of the
+    # closure and words workloads takes each side of _WALK_LIMIT, _PEEL_LIMIT and _REFINE_LIMIT, the
+    # dict on both sides of the dense band, and the dense index with and without the walk that first
+    # narrows a product to the states its root reaches (the positive aleshin words)
+    taken, walked = Counter(), []
+
+    def count(module, name, side):
+        run = getattr(module, name)
+
+        def counted(*args):
+            taken[side(*args)] += 1
+            return run(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    product_tables = engine._product_tables
+
+    def narrowed(tables, root):
+        walked.append(len(tables[0]) ** len(root) > core._INDEX_CAP)
+        return product_tables(tables, root)
+
+    monkeypatch.setattr(engine, "_product_tables", narrowed)
+    for module in (core, engine):
+        count(module, "_reachable", lambda successors, *_: ("walk", successors.size < core._WALK_LIMIT))
+    count(engine, "_recurrent", lambda successors: ("peel", successors.size < core._PEEL_LIMIT))
+    count(core, "refine_partition", lambda images, _: ("refinement", images.size < core._REFINE_LIMIT))
+    count(core, "_keyed", lambda states, root: ("dict", states ** len(root) <= core._INDEX_FLOOR))
+    count(core, "_indexed", lambda *_: ("dense", walked[-1]))
+    for workload in ("closure", "words"):
+        for request in build(workload, 1):
+            request.run()
+    # True is the list form, a dict at or under the floor, or a dense index behind the walk
+    sides = {(form, small) for form in ("walk", "peel", "refinement", "dict", "dense") for small in (True, False)}
+    assert sides <= set(taken), (sides - set(taken), taken)
 
 
 def test_kernel_tables_hold_python_ints():

@@ -61,6 +61,9 @@ def test_parse_multi_cycle_permutation():
 def test_parse_larger_alphabet_cycles_with_commas():
     doc = parse("alphabet 3\nc = (0, 2)(c, c, c)\ngens c\n")
     assert doc.states[0].perm == Permutation((2, 1, 0))
+    # blanks between cycles are skipped
+    doc = parse("alphabet 3\nc = (0 1) (2)(c, c, c)\ngens c\n")
+    assert doc.states[0].perm == Permutation((1, 0, 2))
 
 
 @pytest.mark.parametrize(
@@ -83,6 +86,14 @@ def test_parse_larger_alphabet_cycles_with_commas():
         ("alphabet 2\n9x = id(a, a)\ngens a\n", 2, "bad state name"),
         ("alphabet 2\nnonsense\ngens a\n", 2, "cannot parse"),
         ("alphabet 2\n", 2, "no state definitions"),
+        ("alphabet 2\na = (0 1)x(a, a)\ngens a\n", 2, "malformed permutation"),
+        ("alphabet 2\na = (0 b)(a, a)\ngens a\n", 2, "cycle entries must be letters"),
+        ("alphabet 2\na = id(a, a)\ngens\n", 3, "names no generators"),
+        ("alphabet 2\na = id a, a)\ngens a\n", 2, "missing section list"),
+        ("alphabet 2\na = id(a, a) x\ngens a\n", 2, "must end with a section list"),
+        ("alphabet 2\na = id(a, 1b)\ngens a\n", 2, "bad section name"),
+        ("alphabet 2\na = id()\ngens a\n", 2, "lists 0 sections"),
+        ("gens a\n", 2, "missing alphabet line"),
     ],
 )
 def test_parse_errors_carry_position(text, line, fragment):

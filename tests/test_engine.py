@@ -420,6 +420,24 @@ def test_generators_from_two_automata_are_rejected():
             run(mixed)
 
 
+def test_words_and_products_reject_bad_operands():
+    _, _, gens = _load("basilica")
+    basis = tuple(gens)
+    with pytest.raises(ValueError, match="needs a generator basis"):
+        GroupWord((), ())
+    with pytest.raises(ValueError, match="factor index 5 out of range"):
+        GroupWord(basis, ((5, 1),))
+    with pytest.raises(ValueError, match="exponents must be"):
+        GroupWord(basis, ((0, 2),))
+    with pytest.raises(ValueError, match="share a generator basis"):
+        GroupWord(basis, ((0, 1),)) * GroupWord(basis[::-1], ((0, 1),))
+    a = canonical_state(gens[0])
+    with pytest.raises(ValueError, match="different alphabets"):
+        a * canonical_state(_load("hanoi")[2][0])
+    with pytest.raises(TypeError):
+        a * 3
+
+
 def test_elements_reached_by_different_routes_are_one_value():
     _, _, gens = _load("basilica")
     u = _gw(gens, (0, 1), (1, -1), (0, 1), (1, 1), (1, 1))
