@@ -23,10 +23,10 @@ from .catalog import UnknownEntryError, catalog_get, catalog_list, check_entry
 from .core import StateRef, invert, inverse_state
 from .dsl import ParseError, parse, to_automaton
 from .engine import NotContractingError, canonical_state, compute_nucleus
-from .exports import FORMATS, export_graph
+from .exports import FORMATS, _check_matrix, export_graph
 from .limits import BoundaryPoint, _check_point, asymptotic_equivalent, self_similarity_graph
 from .schreier import ResourceCapError, build_schreier, pointed_component, simplicial
-from .spectra import spectrum
+from .spectra import _check_dense, spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,20 +34,20 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _load(args) -> list[StateRef]:
+    """The source's generators, once an output that spectrum or the matrix export would refuse is refused."""
     if args.catalog is not None:
-        return catalog_get(args.catalog).automaton()[1]
-    with open(args.automaton, encoding="utf-8") as fh:
-        return to_automaton(parse(fh.read()))[1]
+        gens = catalog_get(args.catalog).automaton()[1]
+    else:
+        with open(args.automaton, encoding="utf-8") as fh:
+            gens = to_automaton(parse(fh.read()))[1]
+    # refused before any level is built; gen alone exports a labeled graph, ssg and pointed simplicial ones
+    k = gens[0].automaton.alphabet.size
+    if args.command == "spectrum":
+        _check_dense(k**args.level, "spectrum")
+    elif getattr(args, "format", None) == "matrix":
+        _check_matrix(args.command != "gen" or args.simplicial, k ** getattr(args, "level", 0))
+    return gens
 
 
 def _drop_identity(gens: list[StateRef]) -> list[StateRef]:
@@ -147,7 +147,7 @@ def _cmd_pointed(args) -> str:
 
 # built once per process: parse_args fills a new namespace each call and leaves the parser as it was
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     source = argparse.ArgumentParser(add_help=False)
     group = source.add_mutually_exclusive_group(required=True)
     group.add_argument("--automaton", metavar="FILE", help="recursion file to load")
@@ -162,7 +162,7 @@ def _build_parser() -> _Parser:
     bounds.add_argument("--max-elements", type=int, default=defaults["max_elements"].default)
     bounds.add_argument("--max-depth", type=int, default=defaults["max_depth"].default)
 
-    parser = _Parser(prog="selfsim", description="Self-similar group computations.")
+    parser = argparse.ArgumentParser(prog="selfsim", description="Self-similar group computations.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *parents):

@@ -95,8 +95,7 @@ def _parse_perm(text: str, k: int, line_no: int, base_col: int) -> Permutation:
 def parse(text: str) -> RecursionDocument:
     """Parse the text format; raises ParseError with position on any defect."""
     alphabet_size: int | None = None
-    title: str | None = None
-    cite: str | None = None
+    meta: dict[str, str | None] = {"title": None, "cite": None}
     states: list[StateDef] = []
     state_lines: dict[str, int] = {}
     section_pos: list[tuple[str, int, int]] = []  # name, line, col for late resolution
@@ -107,11 +106,9 @@ def parse(text: str) -> RecursionDocument:
         hash_at = raw.find("#")
         line = raw if hash_at < 0 else raw[:hash_at]
         if hash_at >= 0:
-            comment = raw[hash_at + 1 :].strip()
-            if comment.startswith("title:") and title is None:
-                title = comment[len("title:") :].strip() or None
-            elif comment.startswith("cite:") and cite is None:
-                cite = comment[len("cite:") :].strip() or None
+            key, _, value = raw[hash_at + 1 :].strip().partition(":")
+            if key in meta and meta[key] is None:
+                meta[key] = value.strip() or None
         if not line.strip():
             continue
         indent = len(line) - len(line.lstrip())
@@ -188,7 +185,7 @@ def parse(text: str) -> RecursionDocument:
         if g not in defined:
             raise ParseError(f"gens references undefined state {g!r}", gens_line, 1)
 
-    return RecursionDocument(alphabet_size, tuple(states), gens, title, cite)
+    return RecursionDocument(alphabet_size, tuple(states), gens, **meta)
 
 
 def _format_perm(perm: Permutation) -> str:
@@ -199,12 +196,13 @@ def _format_perm(perm: Permutation) -> str:
 
 
 def serialize(doc: RecursionDocument) -> str:
-    """Canonical text for a document; parse(serialize(doc)) == doc."""
+    """Canonical text for a document; parse(serialize(doc)) == doc, so a title or cite must be one stripped line."""
     lines = []
-    if doc.title is not None:
-        lines.append(f"# title: {doc.title}")
-    if doc.cite is not None:
-        lines.append(f"# cite: {doc.cite}")
+    for key, text in (("title", doc.title), ("cite", doc.cite)):
+        if text is not None:
+            if text.splitlines() != [text.strip()]:
+                raise ValueError(f"{key} {text!r} would not read back: it must be one nonempty line, stripped")
+            lines.append(f"# {key}: {text}")
     lines.append(f"alphabet {doc.alphabet_size}")
     for st in doc.states:
         lines.append(f"{st.name} = {_format_perm(st.perm)}({', '.join(st.sections)})")

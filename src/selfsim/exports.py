@@ -11,9 +11,8 @@ graphs export byte-identical streams.
 
 from __future__ import annotations
 
-from .schreier import ResourceCapError, SimplicialGraph
-
-MATRIX_LIMIT = 4096
+from .schreier import SimplicialGraph
+from .spectra import _check_dense
 
 
 def _escape(text: str) -> str:
@@ -97,13 +96,17 @@ def _graphml_text(graph, root: int | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_matrix(simple: bool, dim: int) -> None:
+    """Refuse a matrix export of a simplicial graph, or of a dense one of more than DENSE_LIMIT vertices."""
+    if simple:
+        raise ValueError("matrix export needs the labeled graph, not a simplicial one")
+    _check_dense(dim, "matrix export")
+
+
 def _matrix_text(graph, root: int | None) -> str:
     """The symbolic adjacency matrix; it has no place to mark a root."""
-    if isinstance(graph, SimplicialGraph):
-        raise ValueError("matrix export needs the labeled graph, not a simplicial one")
     dim = graph.vertex_count
-    if dim > MATRIX_LIMIT:
-        raise ResourceCapError(f"dense matrix export limited to {MATRIX_LIMIT} vertices, got {dim}")
+    _check_matrix(isinstance(graph, SimplicialGraph), dim)
     cells: list[dict[int, list[str]]] = [{} for _ in range(dim)]
     for src, dst, gen in _rows(graph):
         cells[src].setdefault(dst, []).append(gen)

@@ -58,20 +58,19 @@ def _vertex_labels(k: int, n: int, vertices: Sequence[int] | None = None) -> tup
 
     Letters are dot separated throughout when k > 10, and on level 1 a letter
     above 9 keeps word_str's trailing dot ("10."), so no label reads back as
-    two letters. Labels of given vertices are joined from two half-length
-    tables, so no more than k^ceil(n/2) words are labelled in full.
+    two letters. Above level 1 labels are joined from two half-length tables,
+    so no more than k^ceil(n/2) words are labelled letter by letter.
     """
+    if n <= 1:
+        labels = tuple(word_str(w) for w in product(range(k), repeat=n))
+        return labels if vertices is None else tuple(labels[v] for v in vertices)
     sep = "." if k > 10 else ""
     letters = [str(x) for x in range(k)]
-    if vertices is not None and n > 1:
-        half = k ** (n // 2)
-        hi, lo = (tuple(map(sep.join, product(letters, repeat=m))) for m in (n - n // 2, n // 2))
-        return tuple(hi[v // half] + sep + lo[v % half] for v in vertices)
-    if n == 1:
-        labels = tuple(word_str((x,)) for x in range(k))
-    else:
-        labels = tuple(map(sep.join, product(letters, repeat=n)))
-    return labels if vertices is None else tuple(labels[v] for v in vertices)
+    hi, lo = (tuple(map(sep.join, product(letters, repeat=m))) for m in (n - n // 2, n // 2))
+    if vertices is None:
+        return tuple(map(sep.join, product(hi, lo)))
+    half = len(lo)
+    return tuple(hi[v // half] + sep + lo[v % half] for v in vertices)
 
 
 def _simple_edges(arrows, total: int) -> tuple[tuple[int, int], ...]:

@@ -28,6 +28,12 @@ from .schreier import LabeledSchreierGraph, ResourceCapError
 DENSE_LIMIT = 4096
 
 
+def _check_dense(total: int, output: str) -> None:
+    """Refuse a dense output, a spectrum or a matrix export, of more than DENSE_LIMIT vertices."""
+    if total > DENSE_LIMIT:
+        raise ResourceCapError(f"dense {output} limited to {DENSE_LIMIT} vertices, got {total}")
+
+
 def _lower_operator(graph: LabeledSchreierGraph) -> np.ndarray:
     """The lower triangle of the walk operator, its strict upper triangle zero, writing only its nonzeros.
 
@@ -36,10 +42,7 @@ def _lower_operator(graph: LabeledSchreierGraph) -> np.ndarray:
     until it is divided, once, by 2|S|.
     """
     total = graph.vertex_count
-    if total > DENSE_LIMIT:
-        raise ResourceCapError(
-            f"dense spectrum limited to {DENSE_LIMIT} vertices, got {total}"
-        )
+    _check_dense(total, "spectrum")
     buffer = mmap.mmap(-1, total * total * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buffer.madvise(mmap.MADV_NOHUGEPAGE)

@@ -99,15 +99,22 @@ def test_gen_drop_identity_notes_when_nothing_drops(capsys):
     assert "found no identity generators" in err
 
 
-def test_missing_source_is_usage_error(capsys):
-    code, _, err = _run(capsys, "gen", "--level", "1")
-    assert code == 1
-    assert "usage" in err
-
-
-def test_unknown_subcommand_is_usage_error(capsys):
-    code, _, _ = _run(capsys, "frobnicate")
-    assert code == 1
+# argparse wraps the usage block to the terminal width, and Python versions format the list of
+# valid choices differently, so the usage block is not pinned and the error line only up to that list
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (("gen", "--level", "1"), "selfsim gen: error: one of the arguments --automaton --catalog is required"),
+        (("gen", "--catalog", "basilica", "--level", "x"), "selfsim gen: error: argument --level: invalid int value: 'x'"),
+        (("frobnicate",), "selfsim: error: argument command: invalid choice: 'frobnicate' (choose from "),
+    ],
+    ids=["missing-source", "bad-level", "unknown-command"],
+)
+def test_usage_errors_exit_one(capsys, argv, last):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: selfsim")
+    assert err.splitlines()[-1].startswith(last)
 
 
 def test_help_exits_zero(capsys):
@@ -368,6 +375,29 @@ def test_pointed_export_marks_root(capsys):
     )
     assert code == 0
     assert out.startswith("# root\t00\n")
+
+
+_SIMPLICIAL_MATRIX = "matrix export needs the labeled graph, not a simplicial one"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("spectrum", "--level", "24"), 3, "dense spectrum limited to 4096 vertices, got 16777216"),
+        (("gen", "--level", "22", "--format", "matrix"), 3, "dense matrix export limited to 4096 vertices, got 4194304"),
+        (("ssg", "--depth", "20", "--format", "matrix"), 2, _SIMPLICIAL_MATRIX),
+        (("pointed", "--xi", "1^w", "--level", "22", "--format", "matrix"), 2, _SIMPLICIAL_MATRIX),
+        (("gen", "--level", "22", "--simplicial", "--format", "matrix"), 2, _SIMPLICIAL_MATRIX),
+    ],
+    ids=["spectrum", "gen-matrix", "ssg-matrix", "pointed-matrix", "gen-simplicial-matrix"],
+)
+def test_refusals_come_before_the_build(capsys, monkeypatch, argv, code, message):
+    def built(*args, **kwargs):
+        raise AssertionError("a refused output built its graph")
+
+    for name in ("build_schreier", "self_similarity_graph", "pointed_component"):
+        monkeypatch.setattr(cli, name, built)
+    assert _run(capsys, *argv, "--catalog", "basilica") == (code, "", f"error: {message}\n")
 
 
 def test_pointed_matrix_format_rejected(capsys):

@@ -53,6 +53,16 @@ def test_parse_title_and_cite_survive_round_trip():
     assert again == doc
 
 
+@pytest.mark.parametrize("field", ["title", "cite"])
+def test_serialize_refuses_metadata_that_does_not_read_back(field):
+    aut, gens = to_automaton(parse(BASILICA))
+    for text in ("two\nlines", " padded ", ""):
+        with pytest.raises(ValueError, match=field):
+            serialize(automaton_document(aut, gens, **{field: text}))
+    doc = automaton_document(aut, gens, **{field: "a # b"})
+    assert parse(serialize(doc)) == doc
+
+
 def test_parse_multi_cycle_permutation():
     doc = parse("alphabet 4\nr = (0 1)(2 3)(r, r, r, r)\ngens r\n")
     assert doc.states[0].perm == Permutation((1, 0, 3, 2))
