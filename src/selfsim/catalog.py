@@ -57,19 +57,6 @@ class UnknownEntryError(KeyError):
     """Requested catalog key does not exist."""
 
 
-def _mother_perm_states(m: int) -> list[Permutation]:
-    perms = []
-    for images in itertools.permutations(range(m)):
-        perm = Permutation(images)
-        if not perm.is_identity:
-            perms.append(perm)
-    return perms
-
-
-def _perm_code(perm: Permutation) -> str:
-    return "".join(str(x) for x in perm.images)
-
-
 def mother_document(d: int, m: int) -> RecursionDocument:
     """Mother group M_{d,m}: for each nontrivial permutation s of the alphabet,
     states a(-1,s) = s with trivial sections, a(k,s) = <a(k,s), a(k-1,s), 1, ..., 1>
@@ -83,8 +70,9 @@ def mother_document(d: int, m: int) -> RecursionDocument:
     identity = Permutation.identity(m)
     states: list[StateDef] = [StateDef("e", identity, ("e",) * m)]
     gens: list[str] = []
-    for perm in _mother_perm_states(m):
-        code = _perm_code(perm)
+    # permutations() yields the identity first
+    for images in list(itertools.permutations(range(m)))[1:]:
+        perm, code = Permutation(images), "".join(map(str, images))
         a_names = [f"am1_{code}"] + [f"a{k}_{code}" for k in range(d + 1)]
         states.append(StateDef(a_names[0], perm, ("e",) * m))
         for k in range(0, d + 1):

@@ -44,9 +44,9 @@ def _load(args) -> list[StateRef]:
     # refused before any level is built; gen alone exports a labeled graph, ssg and pointed simplicial ones
     k = gens[0].automaton.alphabet.size
     if args.command == "spectrum":
-        _check_dense(k**args.level, "spectrum")
+        _check_dense(k, args.level, "spectrum")
     elif getattr(args, "format", None) == "matrix":
-        _check_matrix(args.command != "gen" or args.simplicial, k ** getattr(args, "level", 0))
+        _check_matrix(args.command != "gen" or args.simplicial, k, getattr(args, "level", 0))
     return gens
 
 
@@ -62,17 +62,13 @@ def _drop_identity(gens: list[StateRef]) -> list[StateRef]:
     return kept
 
 
-def _symmetrize(gens: list[StateRef]) -> list[StateRef]:
-    closed = invert(gens[0].automaton)
-    return [closed.state(g.index) for g in gens] + [inverse_state(g) for g in gens]
-
-
 def _cmd_gen(args) -> str:
     gens = _load(args)
     if args.drop_identity:
         gens = _drop_identity(gens)
     if args.symmetrize and gens:
-        gens = _symmetrize(gens)
+        closed = invert(gens[0].automaton)
+        gens = [closed.state(g.index) for g in gens] + [inverse_state(g) for g in gens]
     graph = build_schreier(gens, args.level, args.vertex_cap)
     out_graph = simplicial(graph) if args.simplicial else graph
     return export_graph(out_graph, args.format)

@@ -87,26 +87,28 @@ def _graphml_text(graph, root: int | None) -> str:
         if i == root:
             datum += '<data key="root">true</data>'
         lines.append(f'    <node id="v{i}">{datum}</node>')
+    escaped = {} if simple else {gen: _escape(gen) for gen in graph.gen_labels}
     for src, dst, gen in _rows(graph):
         edge = f'    <edge source="v{src}" target="v{dst}"'
-        tail = "/>" if gen is None else f'><data key="gen">{_escape(gen)}</data></edge>'
+        tail = "/>" if gen is None else f'><data key="gen">{escaped[gen]}</data></edge>'
         lines.append(edge + tail)
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
 
 
-def _check_matrix(simple: bool, dim: int) -> None:
-    """Refuse a matrix export of a simplicial graph, or of a dense one of more than DENSE_LIMIT vertices."""
+def _check_matrix(simple: bool, k: int, n: int) -> None:
+    """Refuse a matrix export of a simplicial graph, or of a dense one of more than DENSE_LIMIT vertices, k^n."""
     if simple:
         raise ValueError("matrix export needs the labeled graph, not a simplicial one")
-    _check_dense(dim, "matrix export")
+    _check_dense(k, n, "matrix export")
 
 
 def _matrix_text(graph, root: int | None) -> str:
     """The symbolic adjacency matrix; it has no place to mark a root."""
     dim = graph.vertex_count
-    _check_matrix(isinstance(graph, SimplicialGraph), dim)
+    # the count as dim^1: a built graph's is formed already
+    _check_matrix(isinstance(graph, SimplicialGraph), dim, 1)
     cells: list[dict[int, list[str]]] = [{} for _ in range(dim)]
     for src, dst, gen in _rows(graph):
         cells[src].setdefault(dst, []).append(gen)

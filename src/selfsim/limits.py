@@ -28,7 +28,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import _automaton_of, _distinct, word, word_str
+from .core import _automaton_of, _recurrent, word, word_str
 from .engine import CanonicalElement, NucleusResult
 from .schreier import SimplicialGraph, _check_cap, _simple_edges, _vertex_labels, build_schreier
 from .schreier import pointed_component
@@ -143,8 +143,8 @@ def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = 
     when it writes q's letter there. A path that goes up forever lies on a
     cycle of these arrows from level m + 1 on, so each phase-0 cycle node
     fixes one path; they come least first. The arrows form a functional
-    graph, so pointer doubling finds its cycle nodes: after len(arrows) steps
-    or more every path is on a cycle, or in a sink that stands for no arrow.
+    graph, so its cycle nodes are the nodes core._recurrent keeps, with -1
+    for no arrow.
     """
     out, sec = nucleus.moore_tables
     points = (p,) if q is None else (p, q)
@@ -160,13 +160,9 @@ def _lassos(nucleus: NucleusResult, p: BoundaryPoint, q: BoundaryPoint | None = 
     if q is not None:
         arrows[out[:, x] != [q.letter(i) for i in levels]] = -1
     arrows = arrows.T.ravel()
-    ends = np.append(arrows, len(arrows))
-    ends[ends < 0] = len(arrows)
-    for _ in range(len(arrows).bit_length()):
-        ends = ends[ends]
 
     # the anchors: phase-0 nodes, the first n, that lie on a cycle
-    for anchor in _distinct(ends[ends < n]).tolist():
+    for anchor in [v for v in _recurrent(arrows[:, None]) if v < n]:
         # the cycle read downward from the anchor, then upward
         cycle = [anchor]
         while (below := int(arrows[cycle[-1]])) != anchor:
@@ -211,8 +207,7 @@ def self_similarity_graph(gens: Sequence, depth: int, vertex_cap: int | None = N
         raise ValueError("depth must be at least 1")
     aut = _automaton_of(gens)
     k = aut.alphabet.size
-    total = sum(k**n for n in range(depth + 1))
-    _check_cap(total, vertex_cap)
+    _check_cap(k, range(depth + 1), vertex_cap)
 
     labels, levels, arrows = [], [], []
     for n in range(depth + 1):
@@ -226,7 +221,7 @@ def self_similarity_graph(gens: Sequence, depth: int, vertex_cap: int | None = N
             # horizontal: the generators' arrows within the level
             level = build_schreier(gens, n, vertex_cap)
             arrows.extend((base + child, base + img) for img in level.images)
-    return SimplicialGraph(tuple(labels), _simple_edges(arrows, total), tuple(levels))
+    return SimplicialGraph(tuple(labels), _simple_edges(arrows, len(labels)), tuple(levels))
 
 
 def gh_sequence(

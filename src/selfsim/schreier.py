@@ -18,7 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import Alphabet, Arrays, StateRef, _automaton_of, _distinct, _restrict, _stable_order, word, word_str
+from .core import Alphabet, Arrays, StateRef, _automaton_of, _distinct, _restrict, _stable_order, _starts
+from .core import word, word_str
 
 DEFAULT_VERTEX_CAP = 2**24
 
@@ -27,12 +28,28 @@ class ResourceCapError(RuntimeError):
     """A requested structure exceeds the configured vertex cap."""
 
 
-def _check_cap(count: int, vertex_cap: int | None) -> None:
+def _refuse_over(limit: int, k: int, levels: range, message: str) -> None:
+    """Raise ResourceCapError(message, its {limit} and {count} filled in) when the levels' words, k^n on level n, pass limit.
+
+    Past the bit length of both limit and 10^19, k^top passes both, so the
+    count is named by that power of k and never formed, and no level or
+    depth takes long; a formed count of more than 19 digits is named so too.
+    """
+    top = levels[-1]
+    power = f"{k}^{top}" if len(levels) == 1 else f"over {k}^{top}"
+    if k > 1 and top > max(limit, 10**19).bit_length():
+        raise ResourceCapError(message.format(limit=limit, count=power))
+    count = (k**levels.stop - k**levels.start) // (k - 1) if k > 1 else len(levels)
+    if count > limit:
+        raise ResourceCapError(message.format(limit=limit, count=count if count < 10**19 or k == 1 else power))
+
+
+def _check_cap(k: int, levels: range, vertex_cap: int | None) -> None:
+    """Refuse more vertices than the cap on the levels, k^n on level n; a negative cap is invalid input."""
     cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
-    if count > cap:
-        raise ResourceCapError(
-            f"{count} vertices exceed the cap of {cap}; raise it with vertex_cap or --vertex-cap"
-        )
+    if cap < 0:
+        raise ValueError("vertex_cap must not be negative")
+    _refuse_over(cap, k, levels, "{count} vertices exceed the cap of {limit}; raise it with vertex_cap or --vertex-cap")
 
 
 def _level_tables(tables: Arrays, rows: Sequence[int], n: int) -> list[np.ndarray]:
@@ -144,7 +161,7 @@ def build_schreier(
         raise ValueError("level must be nonnegative")
     aut = _automaton_of(gens)
     k, tables = aut.alphabet.size, aut.tables
-    _check_cap(k**n, vertex_cap)
+    _check_cap(k, range(n, n + 1), vertex_cap)
     return LabeledSchreierGraph(k, n, tuple(g.name for g in gens), _level_tables(tables, [g.index for g in gens], n))
 
 
@@ -172,7 +189,7 @@ def connected_components(graph: LabeledSchreierGraph) -> list[np.ndarray]:
     roots = _component_roots(graph.images, graph.vertex_count)
     order, roots = _stable_order(roots)
     # plain slices at the component starts: np.split costs several times more per piece
-    cuts = [0, *(np.flatnonzero(np.diff(roots)) + 1).tolist(), len(order)]
+    cuts = [*np.flatnonzero(_starts(roots)).tolist(), len(order)]
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 

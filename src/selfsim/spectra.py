@@ -23,15 +23,14 @@ import mmap
 import numpy as np
 
 from .core import _starts
-from .schreier import LabeledSchreierGraph, ResourceCapError
+from .schreier import LabeledSchreierGraph, _refuse_over
 
 DENSE_LIMIT = 4096
 
 
-def _check_dense(total: int, output: str) -> None:
-    """Refuse a dense output, a spectrum or a matrix export, of more than DENSE_LIMIT vertices."""
-    if total > DENSE_LIMIT:
-        raise ResourceCapError(f"dense {output} limited to {DENSE_LIMIT} vertices, got {total}")
+def _check_dense(k: int, n: int, output: str) -> None:
+    """Refuse a dense output, a spectrum or a matrix export, of more than DENSE_LIMIT vertices, k^n on level n."""
+    _refuse_over(DENSE_LIMIT, k, range(n, n + 1), f"dense {output} limited to {{limit}} vertices, got {{count}}")
 
 
 def _lower_operator(graph: LabeledSchreierGraph) -> np.ndarray:
@@ -42,7 +41,7 @@ def _lower_operator(graph: LabeledSchreierGraph) -> np.ndarray:
     until it is divided, once, by 2|S|.
     """
     total = graph.vertex_count
-    _check_dense(total, "spectrum")
+    _check_dense(graph.alphabet_size, graph.level, "spectrum")
     buffer = mmap.mmap(-1, total * total * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buffer.madvise(mmap.MADV_NOHUGEPAGE)

@@ -182,6 +182,7 @@ def test_check_entry_negative_paths():
     assert _checked(grigorchuk, ("free_reduced_upto", 2)) == [False]
     assert _checked(z2, ("order2_generators",)) == [False]
     assert _checked(grigorchuk, ("order2_generators",)) == [True]
+    assert check_entry(replace(z2, expected=(("frobnicate",),))) == [("unknown property frobnicate", False)]
 
 
 def test_recurrent_expectation_needs_a_decided_verdict():

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -384,12 +385,17 @@ _SIMPLICIAL_MATRIX = "matrix export needs the labeled graph, not a simplicial on
     "argv, code, message",
     [
         (("spectrum", "--level", "24"), 3, "dense spectrum limited to 4096 vertices, got 16777216"),
+        (("spectrum", "--level", "100000"), 3, "dense spectrum limited to 4096 vertices, got 2^100000"),
         (("gen", "--level", "22", "--format", "matrix"), 3, "dense matrix export limited to 4096 vertices, got 4194304"),
+        (("gen", "--level", "14000", "--format", "matrix"), 3, "dense matrix export limited to 4096 vertices, got 2^14000"),
         (("ssg", "--depth", "20", "--format", "matrix"), 2, _SIMPLICIAL_MATRIX),
         (("pointed", "--xi", "1^w", "--level", "22", "--format", "matrix"), 2, _SIMPLICIAL_MATRIX),
         (("gen", "--level", "22", "--simplicial", "--format", "matrix"), 2, _SIMPLICIAL_MATRIX),
     ],
-    ids=["spectrum", "gen-matrix", "ssg-matrix", "pointed-matrix", "gen-simplicial-matrix"],
+    ids=[
+        "spectrum", "spectrum-deep", "gen-matrix", "gen-matrix-deep", "ssg-matrix", "pointed-matrix",
+        "gen-simplicial-matrix",
+    ],
 )
 def test_refusals_come_before_the_build(capsys, monkeypatch, argv, code, message):
     def built(*args, **kwargs):
@@ -398,6 +404,30 @@ def test_refusals_come_before_the_build(capsys, monkeypatch, argv, code, message
     for name in ("build_schreier", "self_similarity_graph", "pointed_component"):
         monkeypatch.setattr(cli, name, built)
     assert _run(capsys, *argv, "--catalog", "basilica") == (code, "", f"error: {message}\n")
+
+
+_CAP = "exceed the cap of 16777216; raise it with vertex_cap or --vertex-cap"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("gen", "--catalog", "basilica", "--level", "1000000000"), 3, f"2^1000000000 vertices {_CAP}"),
+        (("gen", "--catalog", "basilica", "--level", "14000"), 3, f"2^14000 vertices {_CAP}"),
+        (("gen", "--catalog", "hanoi", "--level", "300000000"), 3, f"3^300000000 vertices {_CAP}"),
+        (("spectrum", "--catalog", "hanoi", "--level", "300000000"), 3, "dense spectrum limited to 4096 vertices, got 3^300000000"),
+        (("ssg", "--catalog", "basilica", "--depth", "1000000"), 3, f"over 2^1000000 vertices {_CAP}"),
+        (("ssg", "--catalog", "basilica", "--depth", "60"), 3, f"2305843009213693951 vertices {_CAP}"),
+        (("pointed", "--catalog", "basilica", "--xi", "1^w", "--level", "100000"), 3, f"2^100000 vertices {_CAP}"),
+        (("gen", "--catalog", "basilica", "--level", "2", "--vertex-cap", "-1"), 2, "vertex_cap must not be negative"),
+    ],
+    ids=["gen", "gen-long-count", "gen-hanoi", "spectrum-hanoi", "ssg", "ssg-19-digits", "pointed", "negative-cap"],
+)
+def test_refusals_hold_at_any_level_or_depth(capsys, argv, code, message):
+    # no count is formed past what the limit or 19 digits could reach, so each refusal is quick and short
+    start = time.perf_counter()
+    assert _run(capsys, *argv) == (code, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_pointed_matrix_format_rejected(capsys):

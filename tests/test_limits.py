@@ -1,6 +1,7 @@
 """Boundary points, asymptotic equivalence, limit space approximations."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from selfsim import (
     equivalence_class,
     export_graph,
     gh_sequence,
+    parse,
     parse_edges,
     pointed_component,
     self_similarity_graph,
@@ -179,6 +181,13 @@ def test_elements_not_closed_under_sections_name_the_missing_section():
         ):
             with pytest.raises(ValueError, match=f"not closed under sections: {missing} is not among them"):
                 query(NucleusResult("contracting", elements, 1, 1, 1))
+
+
+def test_class_needs_a_path_for_the_point_itself():
+    # a hand-built "nucleus" of one state that swaps every letter: the only lasso reading 0^w writes 1^w
+    a = canonical_state(to_automaton(parse("alphabet 2\na = (0 1)(a, a)\ngens a\n"))[1][0])
+    with pytest.raises(RuntimeError, match="no infinite path for the point itself"):
+        equivalence_class(NucleusResult("contracting", (a,), 1, 1, 1), BoundaryPoint.parse("0^w"))
 
 
 def test_equivalence_matches_path_oracle():
@@ -350,6 +359,13 @@ def test_self_similarity_graph_validation():
         self_similarity_graph([], 3)
     with pytest.raises(ResourceCapError):
         self_similarity_graph(gens, 12, vertex_cap=1000)
+    with pytest.raises(ValueError, match="vertex_cap must not be negative"):
+        self_similarity_graph(gens, 1, vertex_cap=-1)
+    # the count of all levels is never summed, nor formed past what the cap could reach
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=r"^over 2\^1000000 vertices exceed the cap of 16777216;"):
+        self_similarity_graph(gens, 10**6)
+    assert time.perf_counter() - start < 1
 
 
 def test_gh_sequence_sizes_and_roots():

@@ -1,6 +1,7 @@
 """Level graphs: construction, components, pointed components, oracle images."""
 
 import random
+import time
 import xml.etree.ElementTree as ET
 from itertools import product
 
@@ -95,6 +96,29 @@ def test_vertex_cap_enforced():
         build_schreier(gens, 11, vertex_cap=1000)
     # explicit cap admits exactly the boundary
     assert build_schreier(gens, 10, vertex_cap=1024).vertex_count == 1024
+    with pytest.raises(ValueError, match="vertex_cap must not be negative"):
+        build_schreier(gens, 2, vertex_cap=-1)
+
+
+@pytest.mark.parametrize(
+    "key, n, count",
+    [
+        ("basilica", 63, "9223372036854775808"),
+        ("basilica", 64, "2^64"),
+        ("basilica", 100_000, "2^100000"),
+        ("basilica", 10**9, "2^1000000000"),
+        ("hanoi", 40, "3^40"),
+        ("hanoi", 300_000_000, "3^300000000"),
+    ],
+)
+def test_cap_refuses_any_level_without_forming_its_count(key, n, count):
+    # a count of at most 19 digits is printed whole; a larger one is named as a power, never formed
+    # in full: 2^(10^9) alone takes seconds to build, and printing one of over 4,300 digits raises
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError) as info:
+        build_schreier(_gens(key), n)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"{count} vertices exceed the cap of 16777216; raise it with vertex_cap or --vertex-cap"
 
 
 def test_simplicial_drops_loops_and_multiplicity():
